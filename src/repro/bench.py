@@ -30,8 +30,11 @@ reports next to the working directory:
   MK × MK covariance).
 
 Each report carries the workload fingerprint (circuit, scale, shapes,
-repeat count) plus environment info, and every timing is the **median**
-over ``--repeats`` runs so a single scheduler hiccup cannot fail CI.
+repeat count) plus environment info — including every loaded OpenBLAS
+build and its thread count — and every stage timing is the **best**
+(minimum) of ``--repeats`` runs after one untimed warm-up call, with the
+garbage collector disabled while timing, so neither a scheduler hiccup
+nor a GC pause can fail CI.
 ``--suite`` selects one report (``fit``/``serving``/``streaming``/
 ``cluster``/``kron``/``yield``); the default runs all of them.
 
@@ -49,6 +52,7 @@ quiet machine.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import statistics
@@ -79,21 +83,37 @@ BASELINE_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 DEFAULT_THRESHOLD = 1.5
 
 
-def _median_seconds(fn: Callable[[], object], repeats: int) -> float:
-    """Median wall-clock of ``repeats`` calls (first call also warms)."""
-    samples = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - started)
-    return float(statistics.median(samples))
+def _best_seconds(fn: Callable[[], object], repeats: int) -> float:
+    """Best wall-clock of ``repeats`` calls after one untimed warm-up.
+
+    The warm-up fills caches and finishes lazy set-up; the garbage
+    collector is off while timing so a collection pause never lands in
+    a sample.
+    """
+    fn()
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        samples = []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - started)
+    finally:
+        if was_enabled:
+            gc.enable()
+    return float(min(samples))
 
 
-def _environment() -> Dict[str, str]:
+def _environment() -> Dict[str, object]:
+    from repro.utils.blas import blas_thread_counts
+
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "blas_threads": blas_thread_counts(),
     }
 
 
@@ -122,17 +142,16 @@ def bench_fit(
         model = CBMF(seed=0).fit(designs, targets)
         fits.append(model.report_)
 
-    fit_median = _median_seconds(one_fit, repeats)
-    init_median = float(
-        statistics.median(r.init_seconds for r in fits)
-    )
-    em_median = float(statistics.median(r.em_seconds for r in fits))
+    fit_best = _best_seconds(one_fit, repeats)
+    timed = fits[1:]  # drop the warm-up fit
+    init_best = min(r.init_seconds for r in timed)
+    em_best = min(r.em_seconds for r in timed)
 
     prior = CorrelatedPrior(
         lambdas=np.full(basis.n_basis, 0.5),
         correlation=ar1_correlation(len(designs), 0.8),
     )
-    posterior_median = _median_seconds(
+    posterior_best = _best_seconds(
         lambda: compute_posterior(
             designs, targets, prior, 0.01, want_blocks=True
         ),
@@ -154,10 +173,10 @@ def bench_fit(
         },
         "env": _environment(),
         "timings_seconds": {
-            "cbmf_fit": fit_median,
-            "somp_init": init_median,
-            "em": em_median,
-            "posterior_solve": posterior_median,
+            "cbmf_fit": fit_best,
+            "somp_init": init_best,
+            "em": em_best,
+            "posterior_solve": posterior_best,
         },
         "details": {
             "em_iterations": report.em.n_iterations,
@@ -208,8 +227,7 @@ def bench_serving(
             cache=CacheConfig(capacity=16_384),
         )
         service.load("lna@latest")
-        service.predict_many("lna", x, states)  # warm caches/BLAS
-        batched_median = _median_seconds(
+        batched_best = _best_seconds(
             lambda: service.predict_many("lna", x, states), repeats
         )
 
@@ -226,10 +244,10 @@ def bench_serving(
         },
         "env": _environment(),
         "timings_seconds": {
-            "predict_many": batched_median,
+            "predict_many": batched_best,
         },
         "details": {
-            "requests_per_second": n_requests / batched_median,
+            "requests_per_second": n_requests / batched_best,
         },
     }
 
@@ -258,7 +276,7 @@ def bench_streaming(
     The claim under test is the O(n²·b) Cholesky extension making
     per-batch ingest cheap relative to refitting the whole model from
     scratch on the same rows — ``absorb_batch`` is the median per-batch
-    update latency over a fresh stream, ``full_refit`` the median
+    update latency over a fresh stream, ``full_refit`` the best
     warm-started EM refit on everything absorbed so far.
     """
     from repro.active.oracle import SyntheticOracle
@@ -307,7 +325,7 @@ def bench_streaming(
             per_batch.append(time.perf_counter() - started)
         absorb_samples.append(statistics.median(per_batch))
     absorb_median = float(statistics.median(absorb_samples))
-    refit_median = _median_seconds(lambda: online.refit(), repeats)
+    refit_best = _best_seconds(lambda: online.refit(), repeats)
 
     return {
         "kind": "streaming",
@@ -324,11 +342,11 @@ def bench_streaming(
         "env": _environment(),
         "timings_seconds": {
             "absorb_batch": absorb_median,
-            "full_refit": refit_median,
+            "full_refit": refit_best,
         },
         "details": {
             "rows_after_stream": int(online.n_rows),
-            "absorb_vs_refit_speedup": refit_median / absorb_median,
+            "absorb_vs_refit_speedup": refit_best / absorb_median,
         },
     }
 
@@ -447,8 +465,7 @@ def bench_cluster(
         )
         for name in names:
             service.load(f"{name}@latest")
-        _drive_requests(service.predict_many, names, batches)  # warm BLAS
-        single_median = _median_seconds(
+        single_best = _best_seconds(
             lambda: _drive_requests(
                 service.predict_many, names, batches
             ),
@@ -464,8 +481,7 @@ def bench_cluster(
             config=config,
             store_dir=Path(tmp) / "store",
         ) as cluster:
-            _drive_requests(cluster.predict_many, names, batches)
-            cluster_median = _median_seconds(
+            cluster_best = _best_seconds(
                 lambda: _drive_requests(
                     cluster.predict_many, names, batches
                 ),
@@ -486,8 +502,7 @@ def bench_cluster(
                     tcp_predict = lambda name, x, states: (  # noqa: E731
                         clients[name].predict_many(name, x, states)
                     )
-                    _drive_requests(tcp_predict, names, batches)
-                    tcp_median = _median_seconds(
+                    tcp_best = _best_seconds(
                         lambda: _drive_requests(
                             tcp_predict, names, batches
                         ),
@@ -529,18 +544,18 @@ def bench_cluster(
         },
         "env": _environment(),
         "timings_seconds": {
-            "single_process": single_median,
-            "cluster": cluster_median,
-            "cluster_tcp": tcp_median,
+            "single_process": single_best,
+            "cluster": cluster_best,
+            "cluster_tcp": tcp_best,
         },
         "details": {
             "cpu_count": os.cpu_count(),
             "rows_total": n_rows_total,
-            "single_rows_per_second": n_rows_total / single_median,
-            "cluster_rows_per_second": n_rows_total / cluster_median,
-            "cluster_vs_single_speedup": single_median / cluster_median,
-            "tcp_rows_per_second": n_rows_total / tcp_median,
-            "tcp_vs_socketpair_ratio": tcp_median / cluster_median,
+            "single_rows_per_second": n_rows_total / single_best,
+            "cluster_rows_per_second": n_rows_total / cluster_best,
+            "cluster_vs_single_speedup": single_best / cluster_best,
+            "tcp_rows_per_second": n_rows_total / tcp_best,
+            "tcp_vs_socketpair_ratio": tcp_best / cluster_best,
             "store_bytes": store_bytes,
             "pss_bytes_1_shard": pss_single,
             "pss_bytes_n_shards": pss_multi,
@@ -577,7 +592,7 @@ def bench_kron(
     CV grid, same EM cap); only ``REPRO_POSTERIOR_SOLVER`` differs, so
     the measured ratio is purely the solver. The dual arm is timed once
     per K (it costs minutes at K=201 — exactly the problem the Kronecker
-    path removes); the kron arm reports the median over ``repeats``.
+    path removes); the kron arm reports the best of ``repeats``.
     Coefficient parity is recorded at full K between the two arms, and
     both fast paths are checked against ``compute_posterior_dense`` on a
     column/state-restricted sub-problem small enough to materialize the
@@ -647,8 +662,8 @@ def bench_kron(
             }
         )
 
-    # Headline: median kron fit at full K against the (single) dual run.
-    kron_median = _median_seconds(lambda: fit(n_points), max(repeats, 1))
+    # Headline: best kron fit at full K against the (single) dual run.
+    kron_best = _best_seconds(lambda: fit(n_points), max(repeats, 1))
     dual_model, dual_seconds = timed_dual(lambda: fit(n_points))
     kron_model = kron_models.get(n_points) or fit(n_points)
     denom = float(np.max(np.abs(dual_model.coef_))) or 1.0
@@ -692,12 +707,12 @@ def bench_kron(
         },
         "env": _environment(),
         "timings_seconds": {
-            "kron_fit_k201": kron_median,
+            "kron_fit_k201": kron_best,
             "dual_fit_k201": dual_seconds,
         },
         "details": {
             "solver_used": kron_model.predictor.solver,
-            "speedup_vs_dual": dual_seconds / kron_median,
+            "speedup_vs_dual": dual_seconds / kron_best,
             "coef_parity_vs_dual": coef_parity,
             "kron_vs_dense_parity": parity_vs_dense("kron"),
             "dual_vs_dense_parity": parity_vs_dense("dual"),
@@ -803,7 +818,7 @@ def bench_yield(
             )
             fitted[metric] = model.fit(designs, train.targets(metric))
 
-    fit_median = _median_seconds(one_fit, max(repeats, 1))
+    fit_best = _best_seconds(one_fit, max(repeats, 1))
     models = PerformanceModelSet(fitted, basis)
     frozen = models.freeze()
     specs = [Specification.parse(text) for text in YIELD_SPECS]
@@ -880,7 +895,7 @@ def bench_yield(
         },
         "env": _environment(),
         "timings_seconds": {
-            "fit": fit_median,
+            "fit": fit_best,
             "estimate": estimate_median,
             "cluster_yield": cluster_seconds,
         },
@@ -1129,7 +1144,7 @@ def add_bench_parser(sub) -> None:
         help="fit workload scale when not --quick (default: medium)",
     )
     p.add_argument("--repeats", type=int, default=None,
-                   help="timing repeats per stage (median is reported)")
+                   help="timing repeats per stage (best is reported)")
     p.add_argument("--seed", type=int, default=2016)
     p.add_argument("--output-dir", default=".",
                    help="where BENCH_*.json land (default: cwd)")

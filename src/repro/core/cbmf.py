@@ -28,6 +28,7 @@ from repro.core.prior import CorrelatedPrior
 from repro.core.predictive import PosteriorPredictor
 from repro.core.results import FitReport
 from repro.core.somp_init import InitConfig, somp_initialize
+from repro.utils.blas import single_blas_thread
 from repro.utils.rng import SeedLike
 
 __all__ = ["CBMF"]
@@ -123,6 +124,7 @@ class CBMF(MultiStateRegressor):
         self._predictor: Optional[PosteriorPredictor] = None
 
     # ------------------------------------------------------------------
+    @single_blas_thread()
     def fit(
         self,
         designs: Sequence[np.ndarray],

@@ -36,6 +36,7 @@ from repro.core.base import validate_multistate
 from repro.core.multistate import MultiStateData
 from repro.core.posterior import PosteriorResult, compute_posterior
 from repro.core.prior import CorrelatedPrior
+from repro.utils.blas import single_blas_thread
 from repro.utils.linalg import nearest_psd, symmetrize
 
 __all__ = ["EmConfig", "EmTrace", "run_em"]
@@ -99,6 +100,7 @@ class EmTrace:
         return len(self.nll_history)
 
 
+@single_blas_thread()
 def run_em(
     designs: Sequence[np.ndarray],
     targets: Sequence[np.ndarray],

@@ -48,6 +48,7 @@ from repro.core.kronecker import (
 from repro.core.multistate import MultiStateData
 from repro.core.prior import CorrelatedPrior
 from repro.errors import NumericalError
+from repro.utils.blas import single_blas_thread
 from repro.utils.linalg import cholesky_factor, inv_from_cholesky, inv_psd
 
 __all__ = ["PosteriorResult", "compute_posterior", "compute_posterior_dense"]
@@ -193,6 +194,7 @@ def _stack(designs: Sequence[np.ndarray], targets: Sequence[np.ndarray]):
     return phi, y, state_of_row
 
 
+@single_blas_thread()
 def compute_posterior(
     designs: Union[MultiStateData, Sequence[np.ndarray]],
     targets: Optional[Sequence[np.ndarray]] = None,

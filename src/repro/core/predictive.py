@@ -46,6 +46,7 @@ from repro.core.kronecker import (
 )
 from repro.core.prior import CorrelatedPrior
 from repro.errors import NumericalError
+from repro.utils.blas import single_blas_thread
 from repro.utils.linalg import cholesky_factor
 from repro.utils.validation import check_matrix
 
@@ -74,6 +75,7 @@ class PosteriorPredictor:
         The learned observation noise σ0².
     """
 
+    @single_blas_thread()
     def __init__(
         self,
         designs: Sequence[np.ndarray],

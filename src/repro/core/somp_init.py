@@ -52,6 +52,7 @@ from repro.core.kronecker import (
 )
 from repro.core.multistate import MultiStateData
 from repro.core.prior import CorrelatedPrior, ar1_correlation
+from repro.utils.blas import single_blas_thread
 from repro.utils.parallel import parallel_map
 from repro.utils.rng import SeedLike, as_generator
 
@@ -228,7 +229,7 @@ class KroneckerBayesSolver:
         """Rotate the targets into R's eigenbasis; reset the support.
 
         Raises :class:`ValueError` when the states do not share one
-        design matrix — callers gate on balance (``_make_solver``).
+        design matrix — callers gate on balance (``_kron_eligible``).
         """
         data = (
             designs
@@ -285,20 +286,26 @@ def _balanced_designs(designs: Sequence[np.ndarray]) -> bool:
     return True
 
 
-def _make_solver(r0: float, sigma0: float, designs: Sequence[np.ndarray]):
-    """Greedy coefficient solver for this (train) split.
+def _kron_eligible(designs: Sequence[np.ndarray]) -> bool:
+    """Whether greedy scans on ``designs`` take the Kronecker solver.
 
-    State-balanced data with enough states takes the Kronecker solver —
-    same policy switches as the posterior: ``REPRO_POSTERIOR_SOLVER=dual``
-    forces the Woodbury solver everywhere, ``kron`` forces the Kronecker
-    solver whenever the data is balanced.
+    State-balanced data with enough states does — same policy switches as
+    the posterior: ``REPRO_POSTERIOR_SOLVER=dual`` forces the Woodbury
+    solver everywhere, ``kron`` forces the Kronecker solver whenever the
+    data is balanced. The balance check compares every state's design, so
+    callers decide once per (train) split, not once per CV cell.
     """
     mode = resolve_solver_mode()
-    if (
+    return (
         mode != "dual"
         and (mode == "kron" or len(designs) >= KRON_MIN_STATES)
         and _balanced_designs(designs)
-    ):
+    )
+
+
+def _make_solver(r0: float, sigma0: float, kron: bool):
+    """Greedy coefficient solver for one split (see :func:`_kron_eligible`)."""
+    if kron:
         return KroneckerBayesSolver(r0, sigma0)
     return IncrementalBayesSolver(r0, sigma0)
 
@@ -354,7 +361,7 @@ def _score_cv_cell(
         train_designs,
         train_targets,
         payload["theta_max"],
-        _make_solver(r0, sigma0, train_designs),
+        _make_solver(r0, sigma0, payload["kron"][fold]),
         on_step=record,
     )
     scores: List[Tuple[int, float]] = []
@@ -369,6 +376,7 @@ def _score_cv_cell(
     return scores
 
 
+@single_blas_thread()
 def somp_initialize(
     designs: Sequence[np.ndarray],
     targets: Sequence[np.ndarray],
@@ -399,12 +407,8 @@ def somp_initialize(
     # train/test splits then stay state-balanced (so the CV cells keep
     # Kronecker-solver eligibility) and a shared Monte-Carlo draw never
     # lands in the train rows of one state and the test rows of another.
-    mode = resolve_solver_mode()
-    if (
-        mode != "dual"
-        and (mode == "kron" or n_states >= KRON_MIN_STATES)
-        and _balanced_designs(designs)
-    ):
+    kron = _kron_eligible(designs)
+    if kron:
         shared_folds = _fold_indices(
             designs[0].shape[0], config.n_folds, rng
         )
@@ -444,6 +448,7 @@ def somp_initialize(
     ]
     payload = {
         "folds": folds,
+        "kron": [_kron_eligible(fold[0]) for fold in folds],
         "theta_set": frozenset(theta_grid),
         "theta_max": theta_max,
     }
@@ -479,7 +484,7 @@ def somp_initialize(
         designs,
         targets,
         best_theta,
-        _make_solver(best_r0, best_sigma0, designs),
+        _make_solver(best_r0, best_sigma0, kron),
     )
     prior = CorrelatedPrior.from_support(
         n_basis=n_basis_total,

@@ -44,6 +44,7 @@ from repro.basis.dictionary import BasisDictionary
 from repro.core.cbmf import CBMF
 from repro.core.em import EmConfig
 from repro.core.frozen import FrozenModel
+from repro.utils.blas import single_blas_thread
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_matrix
 
@@ -145,6 +146,7 @@ class OnlineCBMF:
         return check_matrix(x, "x", shape=(None, self.n_basis))
 
     # -- the online update ----------------------------------------------
+    @single_blas_thread()
     def absorb(self, x: np.ndarray, y: np.ndarray, state: int) -> int:
         """Fold one observed batch into the posterior; returns row count.
 
@@ -302,6 +304,7 @@ class OnlineCBMF:
             targets.append(y_std[keep] * self._scale + self._center)
         return designs, targets
 
+    @single_blas_thread()
     def refit(
         self,
         seed: SeedLike = None,

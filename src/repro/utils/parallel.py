@@ -10,7 +10,11 @@ any worker count**:
 * results are returned in submission order, never completion order;
 * randomness is derived *before* dispatch (:func:`derive_seeds` gives
   order-stable child seeds from one parent seed), so scheduling cannot
-  perturb a single random draw.
+  perturb a single random draw;
+* every cell runs on one BLAS thread, inline or in a worker
+  (:func:`repro.utils.blas.single_blas_thread`): BLAS results can differ
+  in the last bits between thread counts, and W workers with nproc
+  threads each would oversubscribe the CPUs.
 
 Workers default to serial (``workers=1`` runs inline in this process, no
 pool, no pickling) and are overridden globally with the
@@ -36,6 +40,8 @@ import os
 from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
 import numpy as np
+
+from repro.utils.blas import single_blas_thread
 
 __all__ = [
     "parallel_map",
@@ -106,9 +112,13 @@ def derive_seeds(seed, count: int) -> List[np.random.SeedSequence]:
 
 
 def _init_worker(shared: Any) -> None:
-    """Pool initializer: stash the shared payload once per worker."""
+    """Pool initializer: stash the shared payload once per worker.
+
+    Each worker also holds the one-thread BLAS cap for its whole life.
+    """
     global _SHARED
     _SHARED = shared
+    single_blas_thread().__enter__()
 
 
 def _consume_crash_token() -> None:
@@ -189,7 +199,9 @@ def parallel_map(
     with_shared = shared is not None
 
     def run_inline(item: T) -> R:
-        return fn(item, shared) if with_shared else fn(item)
+        # Pool workers hold the same cap (``_init_worker``).
+        with single_blas_thread():
+            return fn(item, shared) if with_shared else fn(item)
 
     if workers == 1:
         return [run_inline(item) for item in items]

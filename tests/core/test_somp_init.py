@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import somp_init
+from repro.core.kronecker import KRON_MIN_STATES
 from repro.core.somp_init import InitConfig, somp_initialize
 
 
@@ -159,4 +161,51 @@ class TestParallelCV:
         )
         np.testing.assert_array_equal(
             serial.prior.correlation, pooled.prior.correlation
+        )
+
+
+class TestSolverChoice:
+    def test_balance_checked_once_per_fold(self, monkeypatch):
+        """State balance is decided per split, not per (fold, r0, σ0) cell."""
+        rng = np.random.default_rng(5)
+        shared = rng.standard_normal((8, 12))
+        designs = [shared] * KRON_MIN_STATES
+        targets = [
+            shared[:, 2] * (1.0 + 0.1 * k) + 0.05 * rng.standard_normal(8)
+            for k in range(KRON_MIN_STATES)
+        ]
+        config = InitConfig(
+            r0_grid=(0.5, 0.9),
+            sigma0_grid=(0.1, 0.3),
+            n_basis_grid=(2, 4),
+            n_folds=2,
+        )
+        expected = somp_initialize(designs, targets, config, seed=1)
+
+        checks = []
+        original = somp_init._balanced_designs
+
+        def counting(split):
+            checks.append(len(split))
+            return original(split)
+
+        monkeypatch.setattr(somp_init, "_balanced_designs", counting)
+        solvers = []
+        original_make = somp_init._make_solver
+
+        def recording(r0, sigma0, kron):
+            solver = original_make(r0, sigma0, kron)
+            solvers.append(type(solver).__name__)
+            return solver
+
+        monkeypatch.setattr(somp_init, "_make_solver", recording)
+        result = somp_initialize(designs, targets, config, seed=1)
+        # Once on the full data, once per fold; never per CV cell.
+        assert len(checks) == 1 + config.n_folds
+        # Balanced folds keep the Kronecker solver for every scan.
+        assert set(solvers) == {"KroneckerBayesSolver"}
+        assert len(solvers) == config.n_folds * 4 + 1
+        assert result.support == expected.support
+        assert (result.r0, result.sigma0, result.n_basis) == (
+            expected.r0, expected.sigma0, expected.n_basis
         )

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.utils.blas import blas_thread_counts
 from repro.utils.parallel import derive_seeds, parallel_map, resolve_workers
 
 
@@ -20,6 +21,10 @@ def _scale(x, payload):
 def _draw(seed_seq, payload):
     rng = np.random.default_rng(seed_seq)
     return float(rng.standard_normal())
+
+
+def _blas_threads(_):
+    return blas_thread_counts()
 
 
 class TestResolveWorkers:
@@ -103,3 +108,15 @@ class TestParallelMap:
     def test_env_activates_pool(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
         assert parallel_map(_square, [2, 3]) == [4, 9]
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        if not blas_thread_counts():
+            pytest.skip("no OpenBLAS build is loaded in this process")
+        # Spawned workers inherit the environment: without the cap each
+        # would start two BLAS threads (or nproc, if that is fewer).
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        seen = parallel_map(_blas_threads, [0, 1, 2], max_workers=2)
+        assert all(counts for counts in seen)
+        assert all(
+            set(counts.values()) == {1} for counts in seen
+        ), seen
