@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import multiprocessing
 import socket
 import threading
@@ -170,6 +171,28 @@ def _validate_predict(x, states) -> Tuple[np.ndarray, np.ndarray]:
     return x, states
 
 
+def _decode_results(
+    header: Dict, arrays: Sequence[np.ndarray]
+) -> List[PredictionResult]:
+    """Per-row results from a ``result`` frame (gateway and clients)."""
+    if not arrays:
+        return []
+    metrics = list(header.get("metrics", ()))
+    version = int(header.get("version", 0))
+    values, cached = arrays[:-1], arrays[-1]
+    return [
+        PredictionResult(
+            values={
+                metric: float(values[m][row])
+                for m, metric in enumerate(metrics)
+            },
+            cached=bool(cached[row]),
+            version=version,
+        )
+        for row in range(int(cached.shape[0]))
+    ]
+
+
 @dataclass
 class _Route:
     """Routing-table entry for one model name."""
@@ -191,41 +214,35 @@ class _Route:
 
 
 @dataclass
-class _PredictItem:
-    """One routed request queued for a shard's sender task.
+class _Item:
+    """One frame's worth of work queued for a shard's sender task.
+
+    A predict carries rows (``x``/``states``); the sender coalesces
+    adjacent same-key predicts into one frame. Any other item ships its
+    ``header`` as one frame. An item with a ``future`` awaits a reply
+    and sits in the shard's pending table under ``id`` meanwhile.
 
     ``expiry`` is a ``time.monotonic()`` instant on *this* process's
     clock; the wire never carries it — the sender task converts it to a
-    relative remaining budget at frame-write time, so a wall-clock step
-    (NTP, manual reset) between gateway and shard can neither expire
-    nor immortalize an in-flight request.
+    relative remaining budget at frame-write time (per request in a
+    predict frame, as ``"budget"`` on a header frame), so a wall-clock
+    step (NTP, manual reset) between gateway and shard can neither
+    expire nor immortalize an in-flight request. Control frames leave
+    it unset and carry no budget.
     """
 
-    id: int
-    key: str
-    x: np.ndarray
-    states: np.ndarray
-    expiry: float
-    future: asyncio.Future = None
+    key: str = ""
+    header: Optional[Dict] = None
+    x: Optional[np.ndarray] = None
+    states: Optional[np.ndarray] = None
+    expiry: Optional[float] = None
+    id: int = 0
+    future: Optional[asyncio.Future] = None
 
     @property
     def n(self) -> int:
-        """Row count of the request."""
-        return int(self.x.shape[0])
-
-
-@dataclass
-class _ControlItem:
-    """A raw control frame queued for a shard's sender task.
-
-    When ``expiry`` is set (a local ``time.monotonic()`` instant), the
-    sender attaches the remaining relative budget to the header as
-    ``"budget"`` at write time.
-    """
-
-    header: Dict
-    arrays: Tuple = ()
-    expiry: Optional[float] = None
+        """Row count of a predict; 0 for a header frame."""
+        return 0 if self.x is None else int(self.x.shape[0])
 
 
 class _ShardHandle:
@@ -240,7 +257,7 @@ class _ShardHandle:
         self.queue: Optional[asyncio.Queue] = None
         self.carry = None
         self.tasks: List[asyncio.Task] = []
-        self.pending: Dict[int, _PredictItem] = {}
+        self.pending: Dict[int, _Item] = {}
         self.pending_rows = 0
         self.respawns = 0
         self.alive = False
@@ -294,10 +311,7 @@ class ClusterService:
         self.metrics = ClusterMetrics()
         self._initial_keys = [registry.entry(key).key for key in keys]
         self._routes: Dict[str, _Route] = {}
-        # key -> primary shard index, and key -> full replica list
-        # (primary first). _key_shard stays the single-owner view so
-        # canary placement and reporting keep their PR-6 semantics.
-        self._key_shard: Dict[str, int] = {}
+        # key -> replica shard indices, primary first.
         self._key_replicas: Dict[str, List[int]] = {}
         self._shards: List[_ShardHandle] = []
         self._ids = itertools.count(1)
@@ -451,7 +465,7 @@ class ClusterService:
                 "stable": route.stable,
                 "canary": route.canary,
                 "weight": route.weight,
-                "shard": self._key_shard.get(route.stable),
+                "shard": self._key_replicas.get(route.stable, [None])[0],
                 "replicas": list(
                     self._key_replicas.get(route.stable, ())
                 ),
@@ -499,15 +513,18 @@ class ClusterService:
         if x.shape[0] == 0:
             return []
         deadline_s = self._resolve_deadline(deadline_s)
-        return self._run(
-            self._predict_async(name, x, states, deadline_s)
+        return _decode_results(
+            *self._run(self._predict_async(name, x, states, deadline_s))
         )
 
     def _resolve_deadline(self, deadline_s: Optional[float]) -> float:
+        """The request's budget in seconds (in-process and wire path)."""
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
-        if deadline_s <= 0:
-            raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
+        if not (deadline_s > 0 and math.isfinite(deadline_s)):
+            raise ValueError(
+                f"deadline_s must be a finite number > 0, got {deadline_s}"
+            )
         return float(deadline_s)
 
     async def _predict_async(
@@ -516,18 +533,22 @@ class ClusterService:
         x: np.ndarray,
         states: np.ndarray,
         deadline_s: float,
-    ) -> List[PredictionResult]:
-        """Loop-side predict: route, submit with failover, record."""
+    ) -> Tuple[Dict, List[np.ndarray]]:
+        """Loop-side predict: route, run with failover, record.
+
+        Returns the serving shard's result frame unchanged.
+        """
         key = self._choose_version(name)
         started = time.perf_counter()
-        results, served_by = await self._submit(
-            key, x, states, time.monotonic() + deadline_s
+        reply, served_by = await self._routed_call(
+            key, time.monotonic() + deadline_s, x.shape[0],
+            x=x, states=states,
         )
         self.metrics.record_batch(
             served_by, key, x.shape[0],
             time.perf_counter() - started,
         )
-        return results
+        return reply
 
     def yield_report(
         self,
@@ -576,20 +597,29 @@ class ClusterService:
         states: Optional[Sequence[int]],
         deadline_s: float,
     ) -> Dict:
-        """Loop-side yield report: parse specs, submit with failover."""
+        """Loop-side yield report: parse specs, run with failover."""
         parsed = _parse_specs(specs)
         key = self._choose_version(name)
-        reply = await self._submit_yield(
-            key,
-            parsed,
-            int(n_samples),
-            int(seed),
-            float(confidence),
-            time.monotonic() + deadline_s,
+        header = {
+            "kind": "yield",
+            "key": key,
+            "specs": parsed,
+            "n_samples": int(n_samples),
+            "seed": int(seed),
+            "confidence": float(confidence),
+        }
+        (reply, _), _ = await self._routed_call(
+            key, time.monotonic() + deadline_s, 1, header=header
         )
         if states is not None:
             index = [int(s) for s in states]
             report = reply["report"]
+            n_states = len(report["yield_raw"])
+            for k in index:
+                if not 0 <= k < n_states:
+                    raise ValueError(
+                        f"yield state index {k} is outside [0, {n_states})"
+                    )
             for field_name in (
                 "yield_raw",
                 "yield_shrunk",
@@ -669,10 +699,7 @@ class ClusterService:
             return self._route(name).choose()
 
     def _assign(
-        self,
-        key: str,
-        shard: Optional[int] = None,
-        replicas: Optional[Sequence[int]] = None,
+        self, key: str, replicas: Optional[Sequence[int]] = None
     ) -> List[int]:
         """Pick (or confirm) the replica set owning ``key``.
 
@@ -680,7 +707,7 @@ class ClusterService:
         least-loaded shards (fewest keys first, permanently-dead shards
         avoided while any alternative exists); ``replicas`` pins the
         placement outright (canary co-placement with its stable
-        version), ``shard`` pins only the primary.
+        version).
         """
         if key in self._key_replicas:
             return self._key_replicas[key]
@@ -696,19 +723,12 @@ class ClusterService:
             usable = [
                 i for i in range(n) if not self._shards[i].dead_forever
             ] or list(range(n))
-            order = sorted(usable, key=lambda i: (counts[i], i))
-            if shard is not None:
-                order = [shard] + [i for i in order if i != shard]
-            owners = order[:r]
-        self._key_shard[key] = owners[0]
+            owners = sorted(usable, key=lambda i: (counts[i], i))[:r]
         self._key_replicas[key] = owners
         return owners
 
     async def _load_key_async(
-        self,
-        key: str,
-        shard: Optional[int] = None,
-        replicas: Optional[Sequence[int]] = None,
+        self, key: str, replicas: Optional[Sequence[int]] = None
     ) -> None:
         """Export ``key`` to the store and install it on every replica.
 
@@ -721,7 +741,7 @@ class ClusterService:
         await loop.run_in_executor(
             None, export_model_store, self.registry, [key], self.store_dir
         )
-        owners = self._assign(key, shard=shard, replicas=replicas)
+        owners = self._assign(key, replicas=replicas)
         alive = [i for i in owners if self._shards[i].alive]
         if not alive and all(
             self._shards[i].dead_forever for i in owners
@@ -739,11 +759,6 @@ class ClusterService:
                     f"shard {index} failed to load {key!r}: "
                     f"{reply.get('error', reply)}"
                 )
-
-    def _load_key(
-        self, key: str, replicas: Optional[Sequence[int]] = None
-    ) -> None:
-        self._run(self._load_key_async(key, replicas=replicas))
 
     # -- internals: shard lifecycle (loop thread) -----------------------
     async def _start_all_shards(self) -> None:
@@ -868,14 +883,12 @@ class ClusterService:
             handle.process.pid if handle.process is not None else None
         )
         crashed = list(handle.pending.values())
-        if handle.carry is not None and isinstance(
-            handle.carry, _PredictItem
-        ):
+        if handle.carry is not None and handle.carry.x is not None:
             crashed.append(handle.carry)
         handle.carry = None
         while handle.queue is not None and not handle.queue.empty():
             item = handle.queue.get_nowait()
-            if isinstance(item, _PredictItem):
+            if item.x is not None:
                 crashed.append(item)
         handle.pending.clear()
         handle.pending_rows = 0
@@ -905,44 +918,27 @@ class ClusterService:
 
     # -- internals: per-shard tasks (loop thread) -----------------------
     async def _reader_task(self, handle: _ShardHandle) -> None:
-        """Dispatch answer frames to their waiting futures."""
+        """Resolve waiting futures with the shard's reply frames."""
         try:
             while True:
                 header, arrays = await read_frame_async(handle.reader)
                 item = handle.pending.pop(header.get("id"), None)
                 if item is None:
                     continue  # deadline-abandoned or unknown
-                handle.pending_rows -= getattr(item, "n", 0) or 0
+                handle.pending_rows -= item.n
                 if item.future.done():
                     continue
-                kind = header.get("kind")
-                if kind == "result":
-                    values, cached = arrays[:-1], arrays[-1]
-                    metrics = header["metrics"]
-                    version = int(header["version"])
-                    item.future.set_result([
-                        PredictionResult(
-                            values={
-                                metric: float(values[m][row])
-                                for m, metric in enumerate(metrics)
-                            },
-                            cached=bool(cached[row]),
-                            version=version,
-                        )
-                        for row in range(item.n)
-                    ])
-                elif kind == "error":
-                    etype = header.get("etype")
-                    message = header.get("error", "shard error")
-                    if etype == "deadline":
-                        self.metrics.record_deadline_expired(
-                            handle.index, item.key, item.n
-                        )
-                        item.future.set_exception(DeadlineError(message))
-                    else:
-                        item.future.set_exception(ServingError(message))
+                if header.get("kind") != "error":
+                    item.future.set_result((header, arrays))
+                    continue
+                message = header.get("error", "shard error")
+                if header.get("etype") == "deadline":
+                    self.metrics.record_deadline_expired(
+                        handle.index, item.key, item.n
+                    )
+                    item.future.set_exception(DeadlineError(message))
                 else:
-                    item.future.set_result(header)
+                    item.future.set_exception(ServingError(message))
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             try:
                 await self._on_shard_death(handle)
@@ -959,7 +955,7 @@ class ClusterService:
                     item, handle.carry = handle.carry, None
                 else:
                     item = await handle.queue.get()
-                if isinstance(item, _ControlItem):
+                if item.x is None:
                     header = item.header
                     if item.expiry is not None:
                         # Relative budget attached at write time: the
@@ -971,9 +967,7 @@ class ClusterService:
                                 item.expiry - time.monotonic(), 0.0
                             ),
                         )
-                    await write_frame_async(
-                        handle.writer, header, item.arrays
-                    )
+                    await write_frame_async(handle.writer, header)
                     continue
                 batch = [item]
                 rows = item.n
@@ -982,10 +976,7 @@ class ClusterService:
                         nxt = handle.queue.get_nowait()
                     except asyncio.QueueEmpty:
                         break
-                    if (
-                        isinstance(nxt, _PredictItem)
-                        and nxt.key == item.key
-                    ):
+                    if nxt.x is not None and nxt.key == item.key:
                         batch.append(nxt)
                         rows += nxt.n
                     else:
@@ -1040,23 +1031,26 @@ class ClusterService:
         ]
         return live + respawning
 
-    async def _submit(
+    async def _routed_call(
         self,
         key: str,
-        x: np.ndarray,
-        states: np.ndarray,
         expiry: float,
-    ) -> Tuple[List[PredictionResult], int]:
-        """Submit one batch with replica failover; returns (results,
-        serving shard index).
+        charge: int,
+        header: Optional[Dict] = None,
+        x: Optional[np.ndarray] = None,
+        states: Optional[np.ndarray] = None,
+    ) -> Tuple[Tuple[Dict, List[np.ndarray]], int]:
+        """Run one request for ``key`` with replica failover.
 
-        Each attempt gets an equal slice of the remaining monotonic
-        budget (the final attempt gets all of it), so a hung primary
-        burns only its slice before the request moves to a replica. A
-        :class:`ShardCrashError` fails over immediately; a
+        Returns the shard's ``(header, arrays)`` reply and the serving
+        shard's index. Each attempt gets an equal slice of the remaining
+        monotonic budget (the final attempt gets all of it), so a hung
+        primary burns only its slice before the request moves to a
+        replica. A :class:`ShardCrashError` fails over immediately; a
         :class:`DeadlineError` fails over while overall budget remains.
+        ``charge`` is what one failover or gateway-side expiry counts in
+        the metrics: the rows of a predict, 1 for a yield.
         """
-        n = int(x.shape[0])
         candidates = self._candidates(key)
         if not candidates:
             raise ShardCrashError(
@@ -1073,43 +1067,57 @@ class ClusterService:
                 else time.monotonic() + remaining / attempts_left
             )
             try:
-                results = await self._attempt_predict(
-                    handle, key, x, states, attempt_expiry
+                reply = await self._exchange(
+                    handle, key, attempt_expiry, charge, header, x, states
                 )
-                return results, handle.index
+                return reply, handle.index
             except (ShardCrashError, DeadlineError):
                 if attempts_left == 1 or expiry - time.monotonic() <= 0:
                     raise
                 self.metrics.record_failover(
-                    handle.index, candidates[attempt + 1].index, key, n
+                    handle.index, candidates[attempt + 1].index, key,
+                    charge,
                 )
         raise AssertionError("unreachable")  # pragma: no cover
 
-    async def _attempt_predict(
+    async def _exchange(
         self,
         handle: _ShardHandle,
         key: str,
-        x: np.ndarray,
-        states: np.ndarray,
         expiry: float,
-    ) -> List[PredictionResult]:
-        """One replica attempt: admission, enqueue, bounded wait."""
-        n = int(x.shape[0])
-        if handle.pending_rows + n > self.config.max_queue_rows:
+        charge: Optional[int],
+        header: Optional[Dict] = None,
+        x: Optional[np.ndarray] = None,
+        states: Optional[np.ndarray] = None,
+    ) -> Tuple[Dict, List[np.ndarray]]:
+        """One shard exchange; returns the shard's ``(header, arrays)``.
+
+        Admission-checks predict rows, registers the request as pending,
+        enqueues its frame and waits until ``expiry``. A wait that
+        expires counts ``charge`` deadline expiries; ``charge=None``
+        marks a control frame, which carries no budget and is not
+        counted.
+        """
+        n = 0 if x is None else int(x.shape[0])
+        if x is not None and (
+            handle.pending_rows + n > self.config.max_queue_rows
+        ):
             self.metrics.record_shed(handle.index, key, n)
             raise ShedError(
                 f"shard {handle.index} queue is full "
                 f"({handle.pending_rows} rows in flight, bound "
                 f"{self.config.max_queue_rows}); request of {n} rows shed"
             )
-        item = _PredictItem(
-            id=next(self._ids),
+        item = _Item(
             key=key,
             x=x,
             states=states,
-            expiry=expiry,
+            expiry=None if charge is None else expiry,
+            id=next(self._ids),
             future=asyncio.get_event_loop().create_future(),
         )
+        if header is not None:
+            item.header = dict(header, id=item.id)
         handle.pending[item.id] = item
         handle.pending_rows += n
         await handle.queue.put(item)
@@ -1119,100 +1127,13 @@ class ClusterService:
         except asyncio.TimeoutError:
             if handle.pending.pop(item.id, None) is not None:
                 handle.pending_rows -= n
-            self.metrics.record_deadline_expired(handle.index, key, n)
-            raise DeadlineError(
-                f"request {item.id} ({n} rows on shard {handle.index}) "
-                f"expired after {max(timeout, 0.0):.3f}s"
-            ) from None
-
-    async def _submit_yield(
-        self,
-        key: str,
-        specs: List[Dict],
-        n_samples: int,
-        seed: int,
-        confidence: float,
-        expiry: float,
-    ) -> Dict:
-        """Ship one yield frame with replica failover; await the report.
-
-        Registered in ``handle.pending`` like a predict so a worker
-        death while the report is computing fails the attempt with
-        :class:`ShardCrashError` — which moves it to the next replica
-        instead of erroring out.
-        """
-        candidates = self._candidates(key)
-        if not candidates:
-            raise ShardCrashError(
-                f"every replica of {key!r} "
-                f"({self._key_replicas[key]}) exhausted its respawn "
-                f"budget ({self.config.max_respawns}); unservable"
-            )
-        for attempt, handle in enumerate(candidates):
-            remaining = expiry - time.monotonic()
-            attempts_left = len(candidates) - attempt
-            attempt_expiry = (
-                expiry
-                if attempts_left == 1
-                else time.monotonic() + remaining / attempts_left
-            )
-            try:
-                reply = await self._attempt_yield(
-                    handle, key, specs, n_samples, seed, confidence,
-                    attempt_expiry,
+            if charge is not None:
+                self.metrics.record_deadline_expired(
+                    handle.index, key, charge
                 )
-            except (ShardCrashError, DeadlineError):
-                if attempts_left == 1 or expiry - time.monotonic() <= 0:
-                    raise
-                self.metrics.record_failover(
-                    handle.index, candidates[attempt + 1].index, key, 1
-                )
-                continue
-            if (
-                isinstance(reply, dict)
-                and reply.get("kind") == "yield-result"
-            ):
-                return reply
-            raise ServingError(f"unexpected yield reply {reply!r}")
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    async def _attempt_yield(
-        self,
-        handle: _ShardHandle,
-        key: str,
-        specs: List[Dict],
-        n_samples: int,
-        seed: int,
-        confidence: float,
-        expiry: float,
-    ) -> Dict:
-        item = _PredictItem(
-            id=next(self._ids),
-            key=key,
-            x=np.empty((0, 1)),
-            states=np.empty(0, dtype=np.int64),
-            expiry=expiry,
-            future=asyncio.get_event_loop().create_future(),
-        )
-        header = {
-            "kind": "yield",
-            "id": item.id,
-            "key": key,
-            "specs": specs,
-            "n_samples": n_samples,
-            "seed": seed,
-            "confidence": confidence,
-        }
-        handle.pending[item.id] = item
-        await handle.queue.put(_ControlItem(header=header, expiry=expiry))
-        timeout = expiry - time.monotonic()
-        try:
-            return await asyncio.wait_for(item.future, timeout=timeout)
-        except asyncio.TimeoutError:
-            handle.pending.pop(item.id, None)
-            self.metrics.record_deadline_expired(handle.index, key, 1)
+            kind = "predict" if header is None else header.get("kind")
             raise DeadlineError(
-                f"yield request {item.id} on shard {handle.index} "
+                f"{kind} request {item.id} on shard {handle.index} "
                 f"expired after {max(timeout, 0.0):.3f}s"
             ) from None
 
@@ -1220,42 +1141,23 @@ class ClusterService:
         handle = self._shards[index]
         if handle.queue is None:
             raise ShardCrashError(f"shard {index} is down")
-        await handle.queue.put(_ControlItem(header=header))
+        await handle.queue.put(_Item(header=header))
 
     async def _control_roundtrip(
         self, index: int, header: Dict
     ) -> Dict:
-        """Send a control frame expecting a reply; wait for it."""
+        """Send a control frame expecting a reply; return its header."""
         handle = self._shards[index]
         if not handle.alive:
             raise ShardCrashError(f"shard {index} is down")
-        item = _PredictItem(
-            id=next(self._ids),
-            key=header.get("key", ""),
-            x=np.empty((0, 1)),
-            states=np.empty(0, dtype=np.int64),
-            expiry=time.monotonic() + self.config.start_timeout_s,
-            future=asyncio.get_event_loop().create_future(),
+        reply, _ = await self._exchange(
+            handle,
+            header.get("key", ""),
+            time.monotonic() + self.config.start_timeout_s,
+            None,
+            header,
         )
-        header = dict(header, id=item.id)
-        handle.pending[item.id] = item
-        await handle.queue.put(_ControlItem(header=header))
-        try:
-            reply = await asyncio.wait_for(
-                item.future, timeout=self.config.start_timeout_s
-            )
-        except asyncio.TimeoutError:
-            handle.pending.pop(item.id, None)
-            raise DeadlineError(
-                f"shard {index} did not answer a "
-                f"{header.get('kind')!r} frame within "
-                f"{self.config.start_timeout_s}s"
-            ) from None
-        if isinstance(reply, dict):
-            return reply
-        raise ServingError(  # pragma: no cover - defensive
-            f"unexpected control reply {reply!r}"
-        )
+        return reply
 
     async def _collect_metrics(self) -> List[Dict]:
         replies = await asyncio.gather(

@@ -27,10 +27,10 @@ frame protocol the gateway already speaks to its shards
 
 :class:`ClusterClient` / :class:`AsyncClusterClient`
     Blocking (thread-safe, one request in flight per connection) and
-    asyncio clients exposing the familiar surface: ``predict``,
+    asyncio clients sharing one surface, written once: ``predict``,
     ``predict_many``, ``yield_report``, ``load``, ``set_canary``,
     ``promote``, ``clear_canary``, ``describe_routes``, ``report``,
-    ``ping``.
+    ``ping``. The asyncio client's methods return awaitables.
 
 Deadlines on the wire are **relative**: a client ships ``deadline_s``
 (seconds of budget), the gateway anchors it on its own
@@ -51,6 +51,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.cluster.gateway import (
+    _decode_results,
+    _parse_specs,
+    _validate_predict,
+)
 from repro.cluster.protocol import (
     ProtocolError,
     read_frame,
@@ -139,62 +144,97 @@ def _error_from_frame(header: Dict) -> Exception:
 
 
 # ----------------------------------------------------------------------
-# Shared request/reply codecs (used by both clients and tested against
-# the listener's dispatch).
+# Listener op table: frame kind -> handler(service, header, arrays),
+# each answering ``(reply header, reply arrays)`` through the service's
+# async internals.
 # ----------------------------------------------------------------------
-def _encode_predict(
-    name: str,
-    x: np.ndarray,
-    states: Sequence[int],
-    deadline_s: Optional[float],
-) -> Tuple[Dict, List[np.ndarray]]:
-    header: Dict = {"kind": "predict", "name": str(name)}
-    if deadline_s is not None:
-        header["deadline_s"] = float(deadline_s)
-    return header, [
-        np.ascontiguousarray(np.asarray(x, dtype=float)),
-        np.ascontiguousarray(np.asarray(states, dtype=np.int64)),
-    ]
-
-
-def _decode_results(
-    header: Dict, arrays: Sequence[np.ndarray]
-) -> List[PredictionResult]:
-    if not arrays:
-        return []
-    metrics = list(header.get("metrics", ()))
-    version = int(header.get("version", 0))
-    values, cached = arrays[:-1], arrays[-1]
-    return [
-        PredictionResult(
-            values={
-                metric: float(values[m][row])
-                for m, metric in enumerate(metrics)
-            },
-            cached=bool(cached[row]),
-            version=version,
+def _name(header: Dict) -> str:
+    name = header.get("name")
+    if not isinstance(name, str):
+        raise ProtocolError(
+            f"{header.get('kind')} frame needs a string 'name', "
+            f"got {name!r}"
         )
-        for row in range(int(cached.shape[0]))
-    ]
+    return name
 
 
-def _results_frame(
-    results: Sequence[PredictionResult],
-) -> Tuple[Dict, List[np.ndarray]]:
-    n = len(results)
-    metrics = list(results[0].values) if n else []
-    version = results[0].version if n else 0
-    values = [
-        np.fromiter(
-            (r.values[metric] for r in results), dtype=float, count=n
+async def _op_predict(service, header, arrays):
+    if len(arrays) != 2:
+        raise ProtocolError(
+            f"predict frame needs [x, states] payload arrays, "
+            f"got {len(arrays)}"
         )
-        for metric in metrics
-    ]
-    cached = np.fromiter((r.cached for r in results), dtype=np.uint8, count=n)
-    return (
-        {"kind": "result", "metrics": metrics, "version": int(version)},
-        values + [cached],
+    name = _name(header)
+    x, states = _validate_predict(arrays[0], arrays[1])
+    deadline_s = service._resolve_deadline(header.get("deadline_s"))
+    if x.shape[0] == 0:
+        return (
+            {"kind": "result", "metrics": [], "version": 0},
+            [np.zeros(0, dtype=np.uint8)],
+        )
+    return await service._predict_async(name, x, states, deadline_s)
+
+
+async def _op_yield(service, header, arrays):
+    reply = await service._yield_async(
+        _name(header),
+        header.get("specs", ()),
+        int(header.get("n_samples", 400)),
+        int(header.get("seed", 0)),
+        float(header.get("confidence", 0.95)),
+        header.get("states"),
+        service._resolve_deadline(header.get("deadline_s")),
     )
+    return reply, []
+
+
+async def _op_load(service, header, arrays):
+    key = await service._load_async(str(header.get("key")))
+    return {"kind": "loaded", "key": key}, []
+
+
+async def _op_set_canary(service, header, arrays):
+    key = await service._set_canary_async(
+        str(header.get("name")),
+        str(header.get("canary")),
+        float(header.get("weight", 0.0)),
+    )
+    return {"kind": "canary", "key": key}, []
+
+
+async def _op_promote(service, header, arrays):
+    key = service.promote(str(header.get("name")))
+    return {"kind": "promoted", "key": key}, []
+
+
+async def _op_clear_canary(service, header, arrays):
+    service.clear_canary(str(header.get("name")))
+    return {"kind": "ok"}, []
+
+
+async def _op_routes(service, header, arrays):
+    return {"kind": "routes", "routes": service.describe_routes()}, []
+
+
+async def _op_report(service, header, arrays):
+    return {"kind": "report", "text": await service._report_async()}, []
+
+
+async def _op_ping(service, header, arrays):
+    return {"kind": "pong"}, []
+
+
+_OPS = {
+    "predict": _op_predict,
+    "yield": _op_yield,
+    "load": _op_load,
+    "set-canary": _op_set_canary,
+    "promote": _op_promote,
+    "clear-canary": _op_clear_canary,
+    "routes": _op_routes,
+    "report": _op_report,
+    "ping": _op_ping,
+}
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +369,13 @@ class ClusterListener:
                     await asyncio.sleep(fault.stall_seconds)
                 request_id = header.get("id")
                 try:
-                    reply, reply_arrays = await self._dispatch(
-                        header, arrays
+                    handler = _OPS.get(str(header.get("kind")))
+                    if handler is None:
+                        raise ProtocolError(
+                            f"unknown frame kind {header.get('kind')!r}"
+                        )
+                    reply, reply_arrays = await handler(
+                        self.service, header, arrays
                     )
                 except Exception as error:  # answer, keep serving
                     reply, reply_arrays = {
@@ -359,87 +404,6 @@ class ClusterListener:
         except (ConnectionError, OSError):
             return False
 
-    async def _dispatch(
-        self, header: Dict, arrays: List[np.ndarray]
-    ) -> Tuple[Dict, List[np.ndarray]]:
-        """Answer one client frame via the service's async internals."""
-        from repro.cluster.gateway import _validate_predict
-
-        service = self.service
-        kind = header.get("kind")
-        if kind == "predict":
-            if len(arrays) != 2:
-                raise ProtocolError(
-                    f"predict frame needs [x, states] payload arrays, "
-                    f"got {len(arrays)}"
-                )
-            name = header.get("name")
-            if not isinstance(name, str):
-                raise ProtocolError(
-                    f"predict frame needs a string 'name', got {name!r}"
-                )
-            x, states = _validate_predict(arrays[0], arrays[1])
-            deadline_s = service._resolve_deadline(
-                header.get("deadline_s")
-            )
-            if x.shape[0] == 0:
-                return _results_frame([])
-            results = await service._predict_async(
-                name, x, states, deadline_s
-            )
-            return _results_frame(results)
-        if kind == "yield":
-            name = header.get("name")
-            if not isinstance(name, str):
-                raise ProtocolError(
-                    f"yield frame needs a string 'name', got {name!r}"
-                )
-            reply = await service._yield_async(
-                name,
-                header.get("specs", ()),
-                int(header.get("n_samples", 400)),
-                int(header.get("seed", 0)),
-                float(header.get("confidence", 0.95)),
-                header.get("states"),
-                service._resolve_deadline(header.get("deadline_s")),
-            )
-            return {
-                "kind": "yield-result",
-                "key": reply.get("key"),
-                "version": reply.get("version"),
-                "peak_bytes": reply.get("peak_bytes"),
-                "report": reply.get("report"),
-            }, []
-        if kind == "load":
-            key = await service._load_async(str(header.get("key")))
-            return {"kind": "loaded", "key": key}, []
-        if kind == "set-canary":
-            key = await service._set_canary_async(
-                str(header.get("name")),
-                str(header.get("canary")),
-                float(header.get("weight", 0.0)),
-            )
-            return {"kind": "canary", "key": key}, []
-        if kind == "promote":
-            key = service.promote(str(header.get("name")))
-            return {"kind": "promoted", "key": key}, []
-        if kind == "clear-canary":
-            service.clear_canary(str(header.get("name")))
-            return {"kind": "ok"}, []
-        if kind == "routes":
-            return {
-                "kind": "routes",
-                "routes": service.describe_routes(),
-            }, []
-        if kind == "report":
-            return {
-                "kind": "report",
-                "text": await service._report_async(),
-            }, []
-        if kind == "ping":
-            return {"kind": "pong"}, []
-        raise ProtocolError(f"unknown frame kind {kind!r}")
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ClusterListener({self._bound or self._address!r}, "
@@ -450,21 +414,70 @@ class ClusterListener:
 # ----------------------------------------------------------------------
 # Clients.
 # ----------------------------------------------------------------------
-class _ClientCore:
-    """Header builders shared by the blocking and asyncio clients."""
+def _reply_key(reply: Dict, arrays) -> str:
+    return reply["key"]
 
-    @staticmethod
-    def _yield_header(
+
+class _ClientSurface:
+    """The request surface of both clients, written once.
+
+    Each method builds a request header (plus payload arrays) and a
+    reply decoder ``decode(header, arrays)`` and hands them to each
+    client's ``_call(header, decode, arrays)``: :class:`ClusterClient`
+    runs the exchange to completion and returns the decoded reply,
+    :class:`AsyncClusterClient` returns it as an awaitable.
+    """
+
+    def _roundtrip(self, header: Dict, arrays: Sequence[np.ndarray] = ()):
+        """Send one raw frame; the reply's ``(header, arrays)``."""
+        return self._call(
+            header, lambda reply, payload: (reply, payload), arrays
+        )
+
+    def _predict(self, name, x, states, deadline_s, decode):
+        header: Dict = {"kind": "predict", "name": str(name)}
+        if deadline_s is not None:
+            header["deadline_s"] = float(deadline_s)
+        return self._call(header, decode, [
+            np.ascontiguousarray(np.asarray(x, dtype=float)),
+            np.ascontiguousarray(np.asarray(states, dtype=np.int64)),
+        ])
+
+    # -- serving --------------------------------------------------------
+    def predict_many(
+        self,
+        name: str,
+        x,
+        states,
+        deadline_s: Optional[float] = None,
+    ) -> List[PredictionResult]:
+        """Predict a batch; mirrors ``ClusterService.predict_many``."""
+        return self._predict(name, x, states, deadline_s, _decode_results)
+
+    def predict(
+        self,
+        name: str,
+        x,
+        state: int,
+        deadline_s: Optional[float] = None,
+    ) -> PredictionResult:
+        """Predict one design point."""
+        return self._predict(
+            name, np.asarray(x, dtype=float)[None, :], [state], deadline_s,
+            lambda reply, arrays: _decode_results(reply, arrays)[0],
+        )
+
+    def yield_report(
+        self,
         name: str,
         specs: Sequence,
-        n_samples: int,
-        seed: int,
-        confidence: float,
-        states: Optional[Sequence[int]],
-        deadline_s: Optional[float],
+        n_samples: int = 400,
+        seed: int = 0,
+        confidence: float = 0.95,
+        states: Optional[Sequence[int]] = None,
+        deadline_s: Optional[float] = None,
     ) -> Dict:
-        from repro.cluster.gateway import _parse_specs
-
+        """Fleet yield/moment report; mirrors the service method."""
         header: Dict = {
             "kind": "yield",
             "name": str(name),
@@ -477,10 +490,50 @@ class _ClientCore:
             header["states"] = [int(s) for s in states]
         if deadline_s is not None:
             header["deadline_s"] = float(deadline_s)
-        return header
+        return self._call(header, lambda reply, _: reply)
+
+    # -- control plane --------------------------------------------------
+    def load(self, key: str) -> str:
+        """Export + load ``key`` server-side; returns the resolved key."""
+        return self._call({"kind": "load", "key": str(key)}, _reply_key)
+
+    def set_canary(self, name: str, canary_key: str, weight: float) -> str:
+        """Start a weighted canary split server-side."""
+        return self._call({
+            "kind": "set-canary",
+            "name": str(name),
+            "canary": str(canary_key),
+            "weight": float(weight),
+        }, _reply_key)
+
+    def promote(self, name: str) -> str:
+        """Promote the canary to stable."""
+        return self._call({"kind": "promote", "name": str(name)}, _reply_key)
+
+    def clear_canary(self, name: str) -> None:
+        """Drop the canary split."""
+        return self._call(
+            {"kind": "clear-canary", "name": str(name)}, lambda *_: None
+        )
+
+    def describe_routes(self) -> Dict[str, Dict]:
+        """The server's routing-table digest."""
+        return self._call(
+            {"kind": "routes"}, lambda reply, _: reply["routes"]
+        )
+
+    def report(self) -> str:
+        """The server's full text report."""
+        return self._call({"kind": "report"}, lambda reply, _: reply["text"])
+
+    def ping(self) -> bool:
+        """Round-trip liveness probe."""
+        return self._call(
+            {"kind": "ping"}, lambda reply, _: reply.get("kind") == "pong"
+        )
 
 
-class ClusterClient(_ClientCore):
+class ClusterClient(_ClientSurface):
     """Blocking client for a :class:`ClusterListener` endpoint.
 
     Thread-safe: a lock serializes the one-request-per-connection wire
@@ -516,103 +569,14 @@ class ClusterClient(_ClientCore):
         self._ids = itertools.count(1)
         self.address = address
 
-    # -- plumbing -------------------------------------------------------
-    def _roundtrip(
-        self, header: Dict, arrays: Sequence[np.ndarray] = ()
-    ) -> Tuple[Dict, List[np.ndarray]]:
+    def _call(self, header, decode, arrays=()):
         request = dict(header, id=next(self._ids))
         with self._lock:
             send_frame(self._sock, request, arrays)
             reply, reply_arrays = read_frame(self._sock)
         if reply.get("kind") == "error":
             raise _error_from_frame(reply)
-        return reply, reply_arrays
-
-    # -- serving --------------------------------------------------------
-    def predict_many(
-        self,
-        name: str,
-        x,
-        states,
-        deadline_s: Optional[float] = None,
-    ) -> List[PredictionResult]:
-        """Predict a batch; mirrors ``ClusterService.predict_many``."""
-        reply, arrays = self._roundtrip(
-            *_encode_predict(name, x, states, deadline_s)
-        )
-        return _decode_results(reply, arrays)
-
-    def predict(
-        self,
-        name: str,
-        x,
-        state: int,
-        deadline_s: Optional[float] = None,
-    ) -> PredictionResult:
-        """Predict one design point."""
-        return self.predict_many(
-            name, np.asarray(x, dtype=float)[None, :], [state],
-            deadline_s=deadline_s,
-        )[0]
-
-    def yield_report(
-        self,
-        name: str,
-        specs: Sequence,
-        n_samples: int = 400,
-        seed: int = 0,
-        confidence: float = 0.95,
-        states: Optional[Sequence[int]] = None,
-        deadline_s: Optional[float] = None,
-    ) -> Dict:
-        """Fleet yield/moment report; mirrors the service method."""
-        reply, _ = self._roundtrip(
-            self._yield_header(
-                name, specs, n_samples, seed, confidence, states,
-                deadline_s,
-            )
-        )
-        return reply
-
-    # -- control plane --------------------------------------------------
-    def load(self, key: str) -> str:
-        """Export + load ``key`` server-side; returns the resolved key."""
-        reply, _ = self._roundtrip({"kind": "load", "key": str(key)})
-        return reply["key"]
-
-    def set_canary(self, name: str, canary_key: str, weight: float) -> str:
-        """Start a weighted canary split server-side."""
-        reply, _ = self._roundtrip({
-            "kind": "set-canary",
-            "name": str(name),
-            "canary": str(canary_key),
-            "weight": float(weight),
-        })
-        return reply["key"]
-
-    def promote(self, name: str) -> str:
-        """Promote the canary to stable."""
-        reply, _ = self._roundtrip({"kind": "promote", "name": str(name)})
-        return reply["key"]
-
-    def clear_canary(self, name: str) -> None:
-        """Drop the canary split."""
-        self._roundtrip({"kind": "clear-canary", "name": str(name)})
-
-    def describe_routes(self) -> Dict[str, Dict]:
-        """The server's routing-table digest."""
-        reply, _ = self._roundtrip({"kind": "routes"})
-        return reply["routes"]
-
-    def report(self) -> str:
-        """The server's full text report."""
-        reply, _ = self._roundtrip({"kind": "report"})
-        return reply["text"]
-
-    def ping(self) -> bool:
-        """Round-trip liveness probe."""
-        reply, _ = self._roundtrip({"kind": "ping"})
-        return reply.get("kind") == "pong"
+        return decode(reply, reply_arrays)
 
     def close(self) -> None:
         """Close the connection (idempotent)."""
@@ -629,12 +593,13 @@ class ClusterClient(_ClientCore):
         return f"ClusterClient({self.address!r})"
 
 
-class AsyncClusterClient(_ClientCore):
+class AsyncClusterClient(_ClientSurface):
     """Asyncio client for a :class:`ClusterListener` endpoint.
 
-    Build with :meth:`connect`; one request is in flight per client at
-    a time (an ``asyncio.Lock`` serializes the exchange) — open several
-    clients to overlap requests from one loop.
+    Build with :meth:`connect`; every request method returns an
+    awaitable (``await client.load(key)``). One request is in flight
+    per client at a time (an ``asyncio.Lock`` serializes the exchange)
+    — open several clients to overlap requests from one loop.
     """
 
     def __init__(
@@ -663,105 +628,14 @@ class AsyncClusterClient(_ClientCore):
             reader, writer = await asyncio.open_unix_connection(target)
         return cls(reader, writer, address)
 
-    async def _roundtrip(
-        self, header: Dict, arrays: Sequence[np.ndarray] = ()
-    ) -> Tuple[Dict, List[np.ndarray]]:
+    async def _call(self, header, decode, arrays=()):
         request = dict(header, id=next(self._ids))
         async with self._lock:
             await write_frame_async(self._writer, request, arrays)
             reply, reply_arrays = await read_frame_async(self._reader)
         if reply.get("kind") == "error":
             raise _error_from_frame(reply)
-        return reply, reply_arrays
-
-    async def predict_many(
-        self,
-        name: str,
-        x,
-        states,
-        deadline_s: Optional[float] = None,
-    ) -> List[PredictionResult]:
-        """Predict a batch; mirrors ``ClusterService.predict_many``."""
-        reply, arrays = await self._roundtrip(
-            *_encode_predict(name, x, states, deadline_s)
-        )
-        return _decode_results(reply, arrays)
-
-    async def predict(
-        self,
-        name: str,
-        x,
-        state: int,
-        deadline_s: Optional[float] = None,
-    ) -> PredictionResult:
-        """Predict one design point."""
-        results = await self.predict_many(
-            name, np.asarray(x, dtype=float)[None, :], [state],
-            deadline_s=deadline_s,
-        )
-        return results[0]
-
-    async def yield_report(
-        self,
-        name: str,
-        specs: Sequence,
-        n_samples: int = 400,
-        seed: int = 0,
-        confidence: float = 0.95,
-        states: Optional[Sequence[int]] = None,
-        deadline_s: Optional[float] = None,
-    ) -> Dict:
-        """Fleet yield/moment report; mirrors the service method."""
-        reply, _ = await self._roundtrip(
-            self._yield_header(
-                name, specs, n_samples, seed, confidence, states,
-                deadline_s,
-            )
-        )
-        return reply
-
-    async def load(self, key: str) -> str:
-        """Export + load ``key`` server-side; returns the resolved key."""
-        reply, _ = await self._roundtrip({"kind": "load", "key": str(key)})
-        return reply["key"]
-
-    async def set_canary(
-        self, name: str, canary_key: str, weight: float
-    ) -> str:
-        """Start a weighted canary split server-side."""
-        reply, _ = await self._roundtrip({
-            "kind": "set-canary",
-            "name": str(name),
-            "canary": str(canary_key),
-            "weight": float(weight),
-        })
-        return reply["key"]
-
-    async def promote(self, name: str) -> str:
-        """Promote the canary to stable."""
-        reply, _ = await self._roundtrip(
-            {"kind": "promote", "name": str(name)}
-        )
-        return reply["key"]
-
-    async def clear_canary(self, name: str) -> None:
-        """Drop the canary split."""
-        await self._roundtrip({"kind": "clear-canary", "name": str(name)})
-
-    async def describe_routes(self) -> Dict[str, Dict]:
-        """The server's routing-table digest."""
-        reply, _ = await self._roundtrip({"kind": "routes"})
-        return reply["routes"]
-
-    async def report(self) -> str:
-        """The server's full text report."""
-        reply, _ = await self._roundtrip({"kind": "report"})
-        return reply["text"]
-
-    async def ping(self) -> bool:
-        """Round-trip liveness probe."""
-        reply, _ = await self._roundtrip({"kind": "ping"})
-        return reply.get("kind") == "pong"
+        return decode(reply, reply_arrays)
 
     async def close(self) -> None:
         """Close the connection (idempotent)."""

@@ -367,7 +367,11 @@ def compute_posterior_dense(
     c_inv = np.linalg.inv(c_matrix)
     ad_t = a_matrix @ d_matrix.T
     sigma = a_matrix - ad_t @ c_inv @ ad_t.T
-    mu = (sigma @ d_matrix.T @ y) / noise_var
+    # μ_p = A Dᵀ C⁻¹ y, the right-hand form of the same identity. The
+    # left-hand σ0⁻² Σ_p Dᵀ y divides the cancellation error of the
+    # subtraction above by σ0², which at σ0² = 1e-3 already costs ~1e-7
+    # relative accuracy — more than the fast paths it must referee.
+    mu = ad_t @ (c_inv @ y)
 
     mean = mu.reshape(n_basis, n_states)
     blocks = np.empty((n_basis, n_states, n_states))

@@ -20,7 +20,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterService
+from repro.cluster import (
+    ClusterClient,
+    ClusterConfig,
+    ClusterListener,
+    ClusterService,
+)
 from repro.errors import DeadlineError
 from repro.faults import FaultPlan
 
@@ -87,3 +92,32 @@ def test_hung_shard_still_expires_on_monotonic_budget(
         elapsed = time.monotonic() - started
         assert 0.4 <= elapsed < 10.0
         assert cluster.metrics.total_deadline_expired > 0
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_deadline_rejected_in_process_and_remote(
+    registry, two_versions, design, bad
+):
+    """``inf`` would wait forever on a hung shard and ``nan`` would
+    expire as a nonsense deadline: both are refused up front, in
+    process and over the wire (JSON carries ``Infinity``/``NaN``)."""
+    config = ClusterConfig(n_shards=1, max_respawns=0)
+    with ClusterService(registry, ["lna@v1"], config) as cluster:
+        cluster.inject_faults(FaultPlan.parse("shard:hang@0"))
+        with ClusterListener(cluster) as listener, ClusterClient(
+            listener.address
+        ) as client:
+            for api in (cluster, client):
+                calls = (
+                    lambda: api.predict_many(
+                        "lna", design, [0, 0, 0], deadline_s=bad
+                    ),
+                    lambda: api.yield_report(
+                        "lna", ["nf_db<=1.6"], n_samples=20, deadline_s=bad
+                    ),
+                )
+                for call in calls:
+                    started = time.monotonic()
+                    with pytest.raises(ValueError, match="deadline_s"):
+                        call()
+                    assert time.monotonic() - started < 1.0

@@ -101,8 +101,8 @@ class TestCanary:
         cluster.set_canary("alpha", "alpha@v2", 0.5)
         try:
             assert (
-                cluster._key_shard["alpha@v2"]
-                == cluster._key_shard["alpha@v1"]
+                cluster._key_replicas["alpha@v2"][0]
+                == cluster._key_replicas["alpha@v1"][0]
             )
             routes = cluster.describe_routes()
             assert routes["alpha"]["canary"] == "alpha@v2"

@@ -348,3 +348,114 @@ class TestListenerLifecycle:
         ln = ClusterListener(net_cluster, "127.0.0.1:0").start()
         ln.stop()
         ln.stop()
+
+
+def _reset_routes(service) -> None:
+    service.load("lna@v1")
+    service.clear_canary("lna")
+
+
+def _with_canary(service) -> None:
+    service.set_canary("lna", "lna@v2", 0.5)
+
+
+def _rows(results):
+    return [(r.values, r.version) for r in results]
+
+
+#: op -> (setup on the service, call on a client or the service,
+#: normalizer of the answer). ``ping`` has no in-process twin; the
+#: service side of it is the constant ``True``.
+SURFACE_OPS = {
+    "predict": (
+        None,
+        lambda api, x: api.predict("lna", x[0], 2),
+        lambda result: _rows([result]),
+    ),
+    "predict_many": (
+        None,
+        lambda api, x: api.predict_many("lna", x, [0, 1, 2, 3, 4]),
+        _rows,
+    ),
+    "yield_report": (
+        None,
+        lambda api, x: api.yield_report(
+            "lna", SPECS, n_samples=40, seed=5, states=[0, 2]
+        ),
+        lambda reply: (reply["key"], reply["version"], reply["report"]),
+    ),
+    "load": (None, lambda api, x: api.load("lna@v2"), None),
+    "set_canary": (
+        None, lambda api, x: api.set_canary("lna", "lna@v2", 0.25), None,
+    ),
+    "promote": (_with_canary, lambda api, x: api.promote("lna"), None),
+    "clear_canary": (
+        _with_canary, lambda api, x: api.clear_canary("lna"), None,
+    ),
+    "describe_routes": (None, lambda api, x: api.describe_routes(), None),
+    "report": (
+        None,
+        lambda api, x: api.report(),
+        lambda text: ("CLUSTER REPORT" in text, "lna@v1" in text),
+    ),
+    "ping": (
+        None,
+        lambda api, x: True if isinstance(api, ClusterService)
+        else api.ping(),
+        None,
+    ),
+}
+
+
+def _call_remote(client_kind: str, address: str, call):
+    """Run ``call(client)`` on a fresh blocking or asyncio client."""
+    if client_kind == "blocking":
+        with ClusterClient(address) as c:
+            return call(c)
+
+    async def run():
+        async with await AsyncClusterClient.connect(address) as c:
+            return await call(c)
+
+    return asyncio.run(run())
+
+
+@pytest.mark.parametrize("client_kind", ["blocking", "asyncio"])
+@pytest.mark.parametrize("op", sorted(SURFACE_OPS))
+def test_every_op_matches_in_process_service(
+    op, client_kind, listener, net_cluster, design
+):
+    """Both clients share one surface: each op's answer and its effect
+    on the routing table equal the in-process ``ClusterService``'s."""
+    setup, call, normalize = SURFACE_OPS[op]
+    normalize = normalize or (lambda answer: answer)
+    try:
+        if setup is not None:
+            setup(net_cluster)
+        remote = _call_remote(
+            client_kind, listener.address, lambda c: call(c, design)
+        )
+        remote_routes = net_cluster.describe_routes()
+        _reset_routes(net_cluster)
+        if setup is not None:
+            setup(net_cluster)
+        local = call(net_cluster, design)
+        local_routes = net_cluster.describe_routes()
+    finally:
+        _reset_routes(net_cluster)
+    assert normalize(remote) == normalize(local)
+    assert remote_routes == local_routes
+
+
+def test_serve_bench_connect_cli(listener, capsys):
+    """``cluster serve-bench --connect`` drives a listening cluster
+    over TCP and reports zero request failures."""
+    from repro.cli import main
+
+    assert main([
+        "cluster", "serve-bench", "--connect", listener.address,
+        "--requests", "3", "--rows", "4",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "request failures    shed=0 deadline=0 crash=0 other=0" in out
+    assert "CLUSTER REPORT" in out

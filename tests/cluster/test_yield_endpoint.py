@@ -173,3 +173,28 @@ class TestValidation:
         # The shard survived: the next request succeeds.
         reply = cluster.yield_report("lna", SPECS, n_samples=50, seed=0)
         assert reply["version"] == 1
+
+    @pytest.mark.parametrize("which", ["negative", "k"])
+    def test_state_index_out_of_range_rejected(
+        self, cluster, cluster_modelset, which
+    ):
+        """``states=[-1]`` used to answer the last state's yield under
+        the label -1, and ``states=[K]`` an ``IndexError`` wrapped as a
+        serving error; both are ``ValueError`` naming the index and K,
+        in process and over TCP."""
+        from repro.cluster import ClusterClient, ClusterListener
+
+        k = cluster_modelset.n_states
+        bad = -1 if which == "negative" else k
+        pattern = rf"index {bad} is outside \[0, {k}\)"
+        with pytest.raises(ValueError, match=pattern):
+            cluster.yield_report(
+                "lna", SPECS, n_samples=50, states=[0, bad]
+            )
+        with ClusterListener(cluster) as listener, ClusterClient(
+            listener.address
+        ) as client:
+            with pytest.raises(ValueError, match=pattern):
+                client.yield_report(
+                    "lna", SPECS, n_samples=50, states=[bad]
+                )
