@@ -158,6 +158,22 @@ def _parse_specs(specs: Sequence) -> List[Dict]:
     return parsed
 
 
+def _stop_process(process, grace_s: float) -> None:
+    """Wait ``grace_s`` for ``process`` to exit, then escalate.
+
+    terminate() alone leaves a zombie: SIGTERM may be ignored by a hung
+    worker, and an unjoined child is never reaped. Escalate
+    terminate→join→kill→join so the process is always gone and reaped.
+    """
+    process.join(grace_s)
+    if process.is_alive():
+        process.terminate()
+        process.join(2.0)
+    if process.is_alive():
+        process.kill()
+        process.join(2.0)
+
+
 def _validate_predict(x, states) -> Tuple[np.ndarray, np.ndarray]:
     """Coerce and shape-check one predict batch (gateway and listener)."""
     x = np.ascontiguousarray(np.asarray(x, dtype=float))
@@ -789,22 +805,18 @@ class ClusterService:
                 ):
                     pass
             handle.alive = False
+        # A respawn cancelled above stops its own new worker before its
+        # task ends (see ``_spawn_shard``); wait for that.
+        await asyncio.gather(
+            *(task for handle in self._shards for task in handle.tasks),
+            return_exceptions=True,
+        )
         loop = asyncio.get_running_loop()
         for handle in self._shards:
             process = handle.process
             if process is None or not process.is_alive():
                 continue
-            await loop.run_in_executor(None, process.join, 2.0)
-            if process.is_alive():
-                # terminate() alone leaves a zombie: SIGTERM may be
-                # ignored by a hung worker, and an unjoined child is
-                # never reaped. Escalate terminate→join→kill→join so
-                # stop() always leaves zero alive children behind.
-                process.terminate()
-                await loop.run_in_executor(None, process.join, 2.0)
-            if process.is_alive():
-                process.kill()
-                await loop.run_in_executor(None, process.join, 2.0)
+            await loop.run_in_executor(None, _stop_process, process, 2.0)
 
     def _shard_keys(self, index: int) -> List[str]:
         return sorted(
@@ -829,21 +841,36 @@ class ClusterService:
             name=f"repro-shard-{handle.index}",
         )
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, process.start)
-        child.close()
-        reader, writer = await asyncio.open_connection(sock=parent)
+        starting = loop.run_in_executor(None, process.start)
+        writer = None
         try:
+            # Shielded: a cancelled (re)spawn still has to know when the
+            # worker exists, to stop it below.
+            await asyncio.shield(starting)
+            child.close()
+            reader, writer = await asyncio.open_connection(sock=parent)
             ready, _ = await asyncio.wait_for(
                 read_frame_async(reader),
                 timeout=self.config.start_timeout_s,
             )
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError) as error:
-            writer.close()
-            process.terminate()
-            raise ShardCrashError(
-                f"shard {handle.index} never came up: "
-                f"{type(error).__name__}"
-            ) from error
+        except BaseException as error:
+            # A failed handshake, or a stop() that cancels a respawn
+            # midway, must not leave the new worker running.
+            await starting
+            child.close()
+            if writer is not None:
+                writer.close()
+            else:
+                parent.close()
+            await loop.run_in_executor(None, _stop_process, process, 0.0)
+            if isinstance(
+                error, (asyncio.TimeoutError, asyncio.IncompleteReadError)
+            ):
+                raise ShardCrashError(
+                    f"shard {handle.index} never came up: "
+                    f"{type(error).__name__}"
+                ) from error
+            raise
         if ready.get("kind") != "ready":  # pragma: no cover - defensive
             raise ShardCrashError(
                 f"shard {handle.index} sent {ready.get('kind')!r} "
@@ -882,14 +909,15 @@ class ClusterService:
         pid = (
             handle.process.pid if handle.process is not None else None
         )
+        # Every awaited item is registered in ``pending`` before it is
+        # enqueued, so ``pending`` alone names the requests to fail: a
+        # queued one is in it too, and a queued one whose wait already
+        # expired left it (counted then as a deadline). The queue and the
+        # carry are dropped uncounted.
         crashed = list(handle.pending.values())
-        if handle.carry is not None and handle.carry.x is not None:
-            crashed.append(handle.carry)
         handle.carry = None
         while handle.queue is not None and not handle.queue.empty():
-            item = handle.queue.get_nowait()
-            if item.x is not None:
-                crashed.append(item)
+            handle.queue.get_nowait()
         handle.pending.clear()
         handle.pending_rows = 0
         for item in crashed:

@@ -5,11 +5,21 @@ C-BMF use the same selection rule — pick the basis with the largest summed
 residual correlation across states — and differ only in how coefficients
 are solved on the growing support. The solver is injected as a callback.
 
+The scan is columnar over states: the data are stacked once into a
+:class:`~repro.core.multistate.MultiStateData` (or passed in prebuilt),
+and each greedy step is one GEMM for the scores of every basis against
+every state's residual plus one batched residual update — never a loop
+over the K states. With one shared design B (state-balanced data) the
+scores are ``Bᵀ·Res`` on the (N × K) residual matrix and the update is
+``Y − B[:, S]·C``; otherwise each state's residual is scattered into its
+own column of an (n × K) block and scored against the stacked Φ.
+
 Two solver flavours are accepted:
 
 * a plain callable ``solver(sub_designs, targets) -> (p, K)`` re-solving
-  from scratch on the column-restricted designs (the baselines);
-* an *incremental* solver object exposing ``begin(designs, targets)`` and
+  from scratch on the column-restricted designs (the baselines); only
+  this flavour gets per-state ``design[:, support]`` copies;
+* an *incremental* solver object exposing ``begin(data)`` and
   ``extend(index) -> (p, K)``. Adding basis m changes the dual-space
   kernel by the rank-≤K term ``(φ_m φ_mᵀ) ∘ R[s, s]``, so an incremental
   solver can fold it in with a low-rank Woodbury/Cholesky update in
@@ -23,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import validate_multistate
+from repro.core.multistate import MultiStateData
 
 __all__ = [
     "select_shared_support",
@@ -41,12 +51,8 @@ class IncrementalSolver:
     """Duck-typed interface of incremental greedy solvers (documentation
     only — ``select_shared_support`` detects the methods, not the type)."""
 
-    def begin(
-        self,
-        designs: Sequence[np.ndarray],
-        targets: Sequence[np.ndarray],
-    ) -> None:
-        """Reset internal state for a fresh scan over ``designs``."""
+    def begin(self, data: MultiStateData) -> None:
+        """Reset internal state for a fresh scan over ``data``."""
         raise NotImplementedError
 
     def extend(self, index: int) -> np.ndarray:
@@ -55,8 +61,8 @@ class IncrementalSolver:
 
 
 def select_shared_support(
-    designs: Sequence[np.ndarray],
-    targets: Sequence[np.ndarray],
+    designs: Union[Sequence[np.ndarray], MultiStateData],
+    targets: Optional[Sequence[np.ndarray]],
     n_select: int,
     solver: Union[CoefficientSolver, IncrementalSolver],
     on_step: Optional[Callable[[List[int], np.ndarray], None]] = None,
@@ -67,7 +73,10 @@ def select_shared_support(
     Parameters
     ----------
     designs, targets:
-        Per-state design matrices and target vectors.
+        Per-state design matrices and target vectors — or a prebuilt
+        :class:`MultiStateData` as the first argument (then ``targets``
+        must be ``None``), which skips validation and re-stacking; the CV
+        grid passes each fold's train split this way.
     n_select:
         Number of basis functions θ to pick.
     solver:
@@ -93,12 +102,19 @@ def select_shared_support(
         Selected basis indices (in selection order) and the final (θ, K)
         coefficient matrix.
     """
-    designs, targets = validate_multistate(designs, targets)
+    if isinstance(designs, MultiStateData):
+        if targets is not None:
+            raise TypeError(
+                "targets must be None when passing MultiStateData"
+            )
+        data = designs
+    else:
+        data = MultiStateData.from_states(designs, targets)
     if aggregate not in ("l1", "l2"):
         raise ValueError(
             f"aggregate must be 'l1' or 'l2', got {aggregate!r}"
         )
-    n_basis = designs[0].shape[1]
+    n_basis, n_states = data.n_basis, data.n_states
     if not 0 < n_select <= n_basis:
         raise ValueError(
             f"n_select must be in 1..{n_basis}, got {n_select}"
@@ -106,36 +122,58 @@ def select_shared_support(
 
     incremental = hasattr(solver, "begin") and hasattr(solver, "extend")
     if incremental:
-        solver.begin(designs, targets)
+        solver.begin(data)
+    else:
+        designs, targets = data.designs, data.targets
+
+    # The residuals live in one (rows × K) block so the correlations of
+    # every basis with every state's residual are one GEMM (eq. 33). With
+    # one shared design B the block is the (N × K) residual matrix; else
+    # state k's residual sits in column k of an (n × K) block that is zero
+    # outside state k's rows, and Φᵀ·block gives the same ξ.
+    balanced = data.state_balanced
+    if balanced:
+        basis_rows = data.shared_design
+        target_block = data.targets_matrix()
+        residual_block = target_block
+    else:
+        basis_rows = data.phi
+        residual_block = np.zeros((data.n_rows, n_states))
+        scatter = (np.arange(data.n_rows), data.state_of_row)
+        residual_block[scatter] = data.y
 
     support: List[int] = []
-    residuals = [target.copy() for target in targets]
-    coefficients = np.zeros((0, len(designs)))
+    coefficients = np.zeros((0, n_states))
     for _ in range(n_select):
-        # ξ_{k,m} = b_{k,m}ᵀ Res_k, aggregated over states (eq. 33).
-        score = np.zeros(n_basis)
-        for design, residual in zip(designs, residuals):
-            xi = design.T @ residual
-            score += np.abs(xi) if aggregate == "l1" else xi * xi
+        xi = basis_rows.T @ residual_block  # ξ_{m,k} = b_{k,m}ᵀ Res_k
+        if aggregate == "l1":
+            score = np.abs(xi).sum(axis=1)
+        else:
+            score = np.einsum("mk,mk->m", xi, xi)
         score[support] = -np.inf
         chosen = int(np.argmax(score))
         support.append(chosen)
 
-        sub_designs = [design[:, support] for design in designs]
         if incremental:
             coefficients = solver.extend(chosen)
         else:
-            coefficients = solver(sub_designs, targets)
-        if coefficients.shape != (len(support), len(designs)):
+            coefficients = solver(
+                [design[:, support] for design in designs], targets
+            )
+        if coefficients.shape != (len(support), n_states):
             raise AssertionError(
                 f"solver returned shape {coefficients.shape}, expected "
-                f"{(len(support), len(designs))}"
+                f"{(len(support), n_states)}"
             )
         # Res_k = y_k − B_k(Θ)·α_k (eq. 34).
-        residuals = [
-            target - sub @ coefficients[:, k]
-            for k, (sub, target) in enumerate(zip(sub_designs, targets))
-        ]
+        if balanced:
+            residual_block = (
+                target_block - basis_rows[:, support] @ coefficients
+            )
+        else:
+            residual_block[scatter] = data.y - data.predict_rows(
+                coefficients, support
+            )
         if on_step is not None:
             on_step(list(support), coefficients)
     return support, coefficients

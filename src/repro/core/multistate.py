@@ -203,6 +203,22 @@ class MultiStateData:
         restricted._balanced = self._balanced
         return restricted
 
+    def take_rows(self, rows: Sequence[np.ndarray]) -> "MultiStateData":
+        """Row subset stacked in one gather: ``rows[k]`` indexes state k's
+        own rows, in the order given (a CV split of every state at once).
+        A state may be left empty; :meth:`segment_sum` then does not apply.
+        """
+        counts = [len(r) for r in rows]
+        index = np.concatenate([
+            start + np.asarray(r, dtype=int)
+            for start, r in zip(self.row_starts, rows)
+        ])
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        state_of_row = np.repeat(np.arange(len(rows)), counts)
+        return MultiStateData(
+            self.phi[index], self.y[index], offsets, state_of_row
+        )
+
     def expand_correlation(self, correlation: np.ndarray) -> np.ndarray:
         """``R[s, s]`` — the n×n expansion through the cached index grid."""
         return correlation[self._row_grid]
@@ -216,9 +232,15 @@ class MultiStateData:
         """
         return np.add.reduceat(values, self.row_starts, axis=0)
 
-    def predict_rows(self, mean: np.ndarray) -> np.ndarray:
-        """Row-wise prediction ``Φ[i] · mean[:, s_i]`` for an (M, K) mean."""
-        prediction = np.empty(self.n_rows)
-        for k, sl in enumerate(self.state_slices):
-            prediction[sl] = self.phi[sl] @ mean[:, k]
-        return prediction
+    def predict_rows(
+        self, mean: np.ndarray, columns: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """Row-wise prediction ``Φ[i, columns] · mean[:, s_i]``.
+
+        ``mean`` is (p, K), laid out on ``columns`` (default: every basis
+        column). One gather of each row's state column and one row-wise
+        dot over all n rows, with no loop over states; a state may be
+        empty (a CV test fold with no rows in some state).
+        """
+        phi = self.phi if columns is None else self.phi[:, columns]
+        return np.einsum("ij,ij->i", phi, mean.T[self.state_of_row])

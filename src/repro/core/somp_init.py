@@ -15,6 +15,17 @@ EM only reaches a local optimum, so C-BMF seeds it carefully:
 
 Performance notes (beyond the paper):
 
+* The greedy scan is columnar over states
+  (:func:`repro.core.greedy.select_shared_support`): one GEMM scores
+  every basis against every state's residual and one batched update
+  refreshes the residuals, so a greedy step costs no per-state Python
+  loop however many states there are.
+* The data are stacked once: the full training set into one
+  :class:`MultiStateData`, and each CV fold into one train and one test
+  :class:`MultiStateData` that every (r0, σ0) cell of the fold reuses —
+  validation, stacking and the state-balance check happen once per
+  split, never per cell. A cell scores its test fold with one columnar
+  :meth:`MultiStateData.predict_rows`.
 * The Bayesian coefficient solves run **incrementally**. Adding basis m
   to the support perturbs the dual-space kernel by
   ``(φ_m φ_mᵀ) ∘ R[s, s] = V_m V_mᵀ`` with ``V_m = diag(φ_m)·W[s]`` and
@@ -28,17 +39,19 @@ Performance notes (beyond the paper):
 * State-balanced data (every state fitted on the same design, e.g. the
   swept-frequency datasets) uses :class:`KroneckerBayesSolver` instead:
   the dual kernel is Kronecker, so each greedy step is a p-dimensional
-  eigensolve instead of an n×n Woodbury update (n = N·K). The CV folds
-  then share one permutation across states, which keeps every train
-  split state-balanced (and keeps any Monte-Carlo draw out of the train
-  and test sides simultaneously).
+  eigensolve instead of an n×n Woodbury update (n = N·K). R(r0)'s K×K
+  eigenpairs are computed once per (K, r0) and shared by every scan.
+  The CV folds then share one permutation across states, which keeps
+  every train split state-balanced (and keeps any Monte-Carlo draw out
+  of the train and test sides simultaneously).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import linalg as sla
@@ -110,7 +123,51 @@ class InitResult:
     )
 
 
-class IncrementalBayesSolver:
+class _CorrelatedGreedySolver:
+    """Shared parameters and one-shot solve of the greedy Bayesian solvers.
+
+    Both solvers solve eq. 20-22 with λ = 1 and R = R(r0) on the growing
+    support; they differ only in how ``begin``/``extend`` update it.
+    """
+
+    def __init__(self, r0: float, sigma0: float) -> None:
+        if not 0.0 <= r0 < 1.0:
+            raise ValueError(f"r0 must be in [0, 1), got {r0}")
+        if sigma0 <= 0.0:
+            raise ValueError(f"sigma0 must be > 0, got {sigma0}")
+        self.r0 = float(r0)
+        self.sigma0 = float(sigma0)
+        self._support: List[int] = []
+
+    def __call__(
+        self,
+        sub_designs: List[np.ndarray],
+        targets: List[np.ndarray],
+    ) -> np.ndarray:
+        """One-shot solve on explicit columns (plain-callback compat)."""
+        from repro.core.posterior import compute_posterior
+
+        prior = CorrelatedPrior(
+            lambdas=np.ones(sub_designs[0].shape[1]),
+            correlation=ar1_correlation(len(sub_designs), self.r0),
+        )
+        posterior = compute_posterior(
+            sub_designs, targets, prior, self.sigma0**2, want_blocks=False
+        )
+        return posterior.mean
+
+
+def _as_data(
+    designs: Union[Sequence[np.ndarray], MultiStateData],
+    targets: Optional[Sequence[np.ndarray]],
+) -> MultiStateData:
+    """``designs`` itself when prebuilt, else the states stacked once."""
+    if isinstance(designs, MultiStateData):
+        return designs
+    return MultiStateData.from_states(designs, targets, validate=False)
+
+
+class IncrementalBayesSolver(_CorrelatedGreedySolver):
     """Correlated Bayesian solver with rank-K Woodbury updates (step 9).
 
     Solves eq. 20-22 with λ = 1 and R = R(r0) on the growing greedy
@@ -126,26 +183,16 @@ class IncrementalBayesSolver:
     """
 
     def __init__(self, r0: float, sigma0: float) -> None:
-        if not 0.0 <= r0 < 1.0:
-            raise ValueError(f"r0 must be in [0, 1), got {r0}")
-        if sigma0 <= 0.0:
-            raise ValueError(f"sigma0 must be > 0, got {sigma0}")
-        self.r0 = float(r0)
-        self.sigma0 = float(sigma0)
+        super().__init__(r0, sigma0)
         self._data: Optional[MultiStateData] = None
-        self._support: List[int] = []
 
     def begin(
         self,
-        designs: Sequence[np.ndarray],
-        targets: Sequence[np.ndarray],
+        designs: Union[Sequence[np.ndarray], MultiStateData],
+        targets: Optional[Sequence[np.ndarray]] = None,
     ) -> None:
         """Reset to the empty support and initialize ``G = C⁻¹ = I/σ0²``."""
-        data = (
-            designs
-            if isinstance(designs, MultiStateData)
-            else MultiStateData.from_states(designs, targets, validate=False)
-        )
+        data = _as_data(designs, targets)
         correlation = ar1_correlation(data.n_states, self.r0)
         chol = np.linalg.cholesky(correlation)
         self._correlation = correlation
@@ -179,25 +226,21 @@ class IncrementalBayesSolver:
         w_matrix = data.segment_sum(columns * v[:, None])  # (K, p)
         return w_matrix.T @ self._correlation
 
-    def __call__(
-        self,
-        sub_designs: List[np.ndarray],
-        targets: List[np.ndarray],
-    ) -> np.ndarray:
-        """One-shot solve on explicit columns (plain-callback compat)."""
-        from repro.core.posterior import compute_posterior
 
-        prior = CorrelatedPrior(
-            lambdas=np.ones(sub_designs[0].shape[1]),
-            correlation=ar1_correlation(len(sub_designs), self.r0),
-        )
-        posterior = compute_posterior(
-            sub_designs, targets, prior, self.sigma0**2, want_blocks=False
-        )
-        return posterior.mean
+@functools.lru_cache(maxsize=8)
+def _ar1_eigh(n_states: int, r0: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(ω, Q)`` of R(r0), shared read-only by every scan.
+
+    A CV grid runs one scan per (fold, r0, σ0) cell but has only a few
+    distinct r0, so each K×K eigensolve is done once, not once per cell.
+    """
+    omega, q = _psd_eigh(ar1_correlation(n_states, r0))
+    omega.flags.writeable = False
+    q.flags.writeable = False
+    return omega, q
 
 
-class KroneckerBayesSolver:
+class KroneckerBayesSolver(_CorrelatedGreedySolver):
     """Correlated Bayesian greedy solver for state-balanced data (step 9).
 
     Functionally identical to :class:`IncrementalBayesSolver` — eq. 20-22
@@ -212,32 +255,21 @@ class KroneckerBayesSolver:
     """
 
     def __init__(self, r0: float, sigma0: float) -> None:
-        if not 0.0 <= r0 < 1.0:
-            raise ValueError(f"r0 must be in [0, 1), got {r0}")
-        if sigma0 <= 0.0:
-            raise ValueError(f"sigma0 must be > 0, got {sigma0}")
-        self.r0 = float(r0)
-        self.sigma0 = float(sigma0)
+        super().__init__(r0, sigma0)
         self._design: Optional[np.ndarray] = None
-        self._support: List[int] = []
 
     def begin(
         self,
-        designs: Sequence[np.ndarray],
-        targets: Sequence[np.ndarray],
+        designs: Union[Sequence[np.ndarray], MultiStateData],
+        targets: Optional[Sequence[np.ndarray]] = None,
     ) -> None:
         """Rotate the targets into R's eigenbasis; reset the support.
 
         Raises :class:`ValueError` when the states do not share one
         design matrix — callers gate on balance (``_kron_eligible``).
         """
-        data = (
-            designs
-            if isinstance(designs, MultiStateData)
-            else MultiStateData.from_states(designs, targets, validate=False)
-        )
-        correlation = ar1_correlation(data.n_states, self.r0)
-        omega, q = _psd_eigh(correlation)
+        data = _as_data(designs, targets)
+        omega, q = _ar1_eigh(data.n_states, self.r0)
         self._omega = omega
         self._q = q
         self._design = data.shared_design  # raises if unbalanced
@@ -259,47 +291,22 @@ class KroneckerBayesSolver:
         )
         return mean_rot @ self._q.T
 
-    def __call__(
-        self,
-        sub_designs: List[np.ndarray],
-        targets: List[np.ndarray],
-    ) -> np.ndarray:
-        """One-shot solve on explicit columns (plain-callback compat)."""
-        from repro.core.posterior import compute_posterior
 
-        prior = CorrelatedPrior(
-            lambdas=np.ones(sub_designs[0].shape[1]),
-            correlation=ar1_correlation(len(sub_designs), self.r0),
-        )
-        posterior = compute_posterior(
-            sub_designs, targets, prior, self.sigma0**2, want_blocks=False
-        )
-        return posterior.mean
-
-
-def _balanced_designs(designs: Sequence[np.ndarray]) -> bool:
-    """True when every state carries the identical design matrix."""
-    first = designs[0]
-    for other in designs[1:]:
-        if other.shape != first.shape or not np.array_equal(other, first):
-            return False
-    return True
-
-
-def _kron_eligible(designs: Sequence[np.ndarray]) -> bool:
-    """Whether greedy scans on ``designs`` take the Kronecker solver.
+def _kron_eligible(data: MultiStateData) -> bool:
+    """Whether greedy scans on ``data`` take the Kronecker solver.
 
     State-balanced data with enough states does — same policy switches as
     the posterior: ``REPRO_POSTERIOR_SOLVER=dual`` forces the Woodbury
     solver everywhere, ``kron`` forces the Kronecker solver whenever the
-    data is balanced. The balance check compares every state's design, so
-    callers decide once per (train) split, not once per CV cell.
+    data is balanced. The balance verdict is cached on ``data``
+    (:attr:`MultiStateData.state_balanced`), so each split is checked
+    once however many CV cells and scans reuse it.
     """
     mode = resolve_solver_mode()
     return (
         mode != "dual"
-        and (mode == "kron" or len(designs) >= KRON_MIN_STATES)
-        and _balanced_designs(designs)
+        and (mode == "kron" or data.n_states >= KRON_MIN_STATES)
+        and data.state_balanced
     )
 
 
@@ -318,20 +325,18 @@ def _fold_indices(
     return [fold for fold in np.array_split(permutation, n_folds)]
 
 
-def _relative_rms(
-    predictions: Sequence[np.ndarray], truths: Sequence[np.ndarray]
-) -> float:
+def _relative_rms(residual: np.ndarray, truth: np.ndarray) -> float:
     """RMS prediction error normalized by the RMS target magnitude.
 
-    Degenerate folds with identically-zero targets (e.g. constant
-    performances after standardization) fall back to the absolute RMS so
-    cross-validation still ranks candidates instead of crashing.
+    Both arguments are row-stacked over states. Degenerate folds with
+    identically-zero targets (e.g. constant performances after
+    standardization) fall back to the absolute RMS so cross-validation
+    still ranks candidates instead of crashing.
     """
-    num = sum(float(np.sum((p - t) ** 2)) for p, t in zip(predictions, truths))
-    den = sum(float(np.sum(t**2)) for t in truths)
-    count = sum(t.size for t in truths)
+    num = float(residual @ residual)
+    den = float(truth @ truth)
     if den <= 0.0:
-        return float(np.sqrt(num / max(count, 1)))
+        return float(np.sqrt(num / max(truth.size, 1)))
     return float(np.sqrt(num / den))
 
 
@@ -345,11 +350,8 @@ def _score_cv_cell(
     inline or in a spawned worker.
     """
     fold, r0, sigma0 = cell
-    train_designs, train_targets, test_designs, test_targets = (
-        payload["folds"][fold]
-    )
+    train, test = payload["folds"][fold]
     theta_set = payload["theta_set"]
-    n_states = len(train_designs)
 
     records: Dict[int, Tuple[List[int], np.ndarray]] = {}
 
@@ -358,22 +360,18 @@ def _score_cv_cell(
             records[len(support)] = (list(support), coefficients.copy())
 
     select_shared_support(
-        train_designs,
-        train_targets,
+        train,
+        None,
         payload["theta_max"],
         _make_solver(r0, sigma0, payload["kron"][fold]),
         on_step=record,
     )
-    scores: List[Tuple[int, float]] = []
-    for theta, (support, coefficients) in sorted(records.items()):
-        predictions = [
-            test_designs[k][:, support] @ coefficients[:, k]
-            for k in range(n_states)
-        ]
-        scores.append(
-            (theta, _relative_rms(predictions, test_targets))
-        )
-    return scores
+    return [
+        (theta, _relative_rms(
+            test.y - test.predict_rows(coefficients, support), test.y
+        ))
+        for theta, (support, coefficients) in sorted(records.items())
+    ]
 
 
 @single_blas_thread()
@@ -393,6 +391,7 @@ def somp_initialize(
     count.
     """
     designs, targets = validate_multistate(designs, targets)
+    data = MultiStateData.from_states(designs, targets, validate=False)
     config = config or InitConfig()
     rng = as_generator(seed)
     n_states = len(designs)
@@ -407,7 +406,7 @@ def somp_initialize(
     # train/test splits then stay state-balanced (so the CV cells keep
     # Kronecker-solver eligibility) and a shared Monte-Carlo draw never
     # lands in the train rows of one state and the test rows of another.
-    kron = _kron_eligible(designs)
+    kron = _kron_eligible(data)
     if kron:
         shared_folds = _fold_indices(
             designs[0].shape[0], config.n_folds, rng
@@ -418,23 +417,22 @@ def somp_initialize(
             _fold_indices(d.shape[0], config.n_folds, rng) for d in designs
         ]
 
-    # Per-fold train/test splits, derived once and shared by every
-    # (r0, σ0) candidate of that fold.
+    # Per-fold train/test splits, stacked once and shared by every
+    # (r0, σ0) candidate of that fold. A test split may leave a state
+    # empty; a train split may not.
     folds = []
     for fold in range(config.n_folds):
-        train_designs, train_targets = [], []
-        test_designs, test_targets = [], []
-        for k in range(n_states):
-            test_idx = folds_per_state[k][fold]
-            mask = np.ones(designs[k].shape[0], dtype=bool)
-            mask[test_idx] = False
-            train_designs.append(designs[k][mask])
-            train_targets.append(targets[k][mask])
-            test_designs.append(designs[k][test_idx])
-            test_targets.append(targets[k][test_idx])
-        folds.append(
-            (train_designs, train_targets, test_designs, test_targets)
-        )
+        test_rows = [per_state[fold] for per_state in folds_per_state]
+        train_rows = [
+            np.setdiff1d(np.arange(design.shape[0]), test)
+            for design, test in zip(designs, test_rows)
+        ]
+        if min(len(rows) for rows in train_rows) == 0:
+            raise ValueError(
+                f"fold {fold} leaves a state without training samples; "
+                "every state needs more samples than one fold holds"
+            )
+        folds.append((data.take_rows(train_rows), data.take_rows(test_rows)))
 
     # Note the Bayesian solve stays well-posed for supports larger than
     # the per-state sample count (the prior regularizes), so θ is only
@@ -448,7 +446,7 @@ def somp_initialize(
     ]
     payload = {
         "folds": folds,
-        "kron": [_kron_eligible(fold[0]) for fold in folds],
+        "kron": [_kron_eligible(train) for train, _ in folds],
         "theta_set": frozenset(theta_grid),
         "theta_max": theta_max,
     }
@@ -481,8 +479,8 @@ def somp_initialize(
 
     # Final scan on the full training data with the winning candidates.
     support, _ = select_shared_support(
-        designs,
-        targets,
+        data,
+        None,
         best_theta,
         _make_solver(best_r0, best_sigma0, kron),
     )

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import somp_init
 from repro.core.kronecker import KRON_MIN_STATES
+from repro.core.multistate import MultiStateData
 from repro.core.somp_init import InitConfig, somp_initialize
 
 
@@ -130,6 +131,21 @@ class TestInitializer:
         result = somp_initialize(designs, targets, config, seed=9)
         assert len(result.support) == 9
 
+    def test_state_left_without_training_rows_rejected(self):
+        designs, targets, _ = problem(9, n=6)
+        designs[2], targets[2] = designs[2][:1], targets[2][:1]
+        with pytest.raises(ValueError, match="without training samples"):
+            somp_initialize(designs, targets, InitConfig(n_folds=2), seed=1)
+
+    def test_fewer_rows_than_folds_leaves_empty_test_states(self):
+        """A state with fewer samples than folds has empty test folds;
+        the CV still scores every candidate."""
+        designs, targets, _ = problem(10, n=8)
+        designs[1], targets[1] = designs[1][:3], targets[1][:3]
+        config = InitConfig(n_basis_grid=(2, 4), n_folds=4)
+        result = somp_initialize(designs, targets, config, seed=2)
+        assert all(np.isfinite(v) for v in result.cv_errors.values())
+
 
 class TestParallelCV:
     """The CV grid must be bit-identical for any worker count."""
@@ -183,13 +199,13 @@ class TestSolverChoice:
         expected = somp_initialize(designs, targets, config, seed=1)
 
         checks = []
-        original = somp_init._balanced_designs
+        original = MultiStateData._check_balanced
 
-        def counting(split):
-            checks.append(len(split))
-            return original(split)
+        def counting(data):
+            checks.append(data.n_states)
+            return original(data)
 
-        monkeypatch.setattr(somp_init, "_balanced_designs", counting)
+        monkeypatch.setattr(MultiStateData, "_check_balanced", counting)
         solvers = []
         original_make = somp_init._make_solver
 
